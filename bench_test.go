@@ -442,6 +442,68 @@ func BenchmarkFilterBatchMultiplyShift(b *testing.B) { benchFilterBatch(b, "mult
 // base hash per packet, all d stage buckets derived as h1 + i·h2.
 func BenchmarkFilterBatchDoubleHash(b *testing.B) { benchFilterBatch(b, "doublehash") }
 
+// BenchmarkFilterEndIntervalDRAM gates the multistage interval close at
+// DRAM scale. Each op replays one MAG ×0.1 interval (~62 k packets, 5-tuple
+// flows) into a conservative, shielded, preserving filter with 4×2^20
+// counters (32 MiB) and 65 536 entries with the timer stopped, then times
+// only the close into a reused report arena. A close that does work in
+// proportion to the counter memory, or sorts whole entries, shows up here.
+func BenchmarkFilterEndIntervalDRAM(b *testing.B) {
+	cfg, err := Preset("MAG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg = cfg.Scaled(0.1).WithIntervals(1)
+	src, err := NewGenerator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys []FlowKey
+	var sizes []uint32
+	for {
+		p, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys = append(keys, FiveTuple.Key(&p))
+		sizes = append(sizes, p.Size)
+	}
+	alg, err := NewMultistageFilter(MultistageConfig{
+		Stages: 4, Buckets: 1 << 20, Entries: 65536,
+		Threshold:    uint64(0.001 * cfg.Capacity()),
+		Conservative: true, Shield: true, Preserve: true, Seed: 5,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	closer := alg.(interface {
+		AppendEstimates(dst []Estimate) []Estimate
+	})
+	var arena []Estimate
+	replay := func() {
+		for i := 0; i < len(keys); i += 256 {
+			end := min(i+256, len(keys))
+			ProcessBatch(alg, keys[i:end], sizes[i:end])
+		}
+	}
+	// Preserved entries reach their steady state after a few intervals.
+	for i := 0; i < 3; i++ {
+		replay()
+		arena = closer.AppendEstimates(arena[:0])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		replay()
+		b.StartTimer()
+		arena = closer.AppendEstimates(arena[:0])
+	}
+}
+
 // ---- Unfused reference kernels: the before side of the fusion A/B ----
 
 // unfusedBatcher is implemented by algorithms that keep their pre-fusion

@@ -53,25 +53,40 @@ func TestInsertZeroAllocs(t *testing.T) {
 }
 
 // TestReportAmortizedZeroAllocs guards the per-interval report on a warm
-// table: after the first call has grown the sorted scratch, repeated
-// reports (and preserving interval transitions) must not allocate.
+// table: after the first report and transition have grown the scratch that
+// Report and EndInterval share, repeated reports and preserving transitions
+// must not allocate — from a small table up to the 65 536 entries of a
+// DRAM-sized filter, where the radix sort needs three digit passes.
 func TestReportAmortizedZeroAllocs(t *testing.T) {
-	m := New(1024)
-	for i := 0; i < 900; i++ {
-		m.Insert(flow.Key{Lo: uint64(i)}, uint64(i*37%5000))
-	}
-	// Warm both scratch buffers: one Report and one preserving transition.
-	m.Report()
-	m.EndInterval(Policy{Preserve: true, Threshold: 0})
-	allocs := testing.AllocsPerRun(100, func() {
-		if r := m.Report(); len(r) != 900 {
-			t.Fatal("short report")
+	for _, n := range []int{900, 65536} {
+		m := New(n)
+		for i := 0; i < n; i++ {
+			m.Insert(flow.Key{Lo: uint64(i)}, 0)
 		}
-		if kept := m.EndInterval(Policy{Preserve: true, Threshold: 0}); kept != 900 {
-			t.Fatal("entries lost")
+		// count gives every entry a 3-byte count again (the transition
+		// zeroes them), so each Report runs all its radix passes.
+		count := func() {
+			for i, c := range m.ctrl {
+				if c != 0 {
+					m.slots[i].Bytes = m.slots[i].Key.Lo * 37 % 5000 << 8
+				}
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Report+EndInterval allocates %.1f allocs/op, must be 0", allocs)
+		// Warm the scratch: one Report and one preserving transition.
+		count()
+		m.Report()
+		m.EndInterval(Policy{Preserve: true, Threshold: 0})
+		allocs := testing.AllocsPerRun(20, func() {
+			count()
+			if r := m.Report(); len(r) != n {
+				t.Fatal("short report")
+			}
+			if kept := m.EndInterval(Policy{Preserve: true, Threshold: 0}); kept != n {
+				t.Fatal("entries lost")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d entries: warm Report+EndInterval allocates %.1f allocs/op, must be 0", n, allocs)
+		}
 	}
 }

@@ -30,6 +30,8 @@
 package flowmem
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/flow"
@@ -79,17 +81,21 @@ type Memory struct {
 	// cannot eliminate the warming loads as dead.
 	prefetchSink uint64
 
-	// reportScratch and keepScratch are grow-only: Report and EndInterval
-	// reuse them so steady-state intervals allocate nothing once warm.
+	// reportScratch holds Report's sorted entries; radixKeys and radixTmp
+	// are its radix sort's two record buffers. All three are grow-only, so
+	// steady-state intervals allocate nothing once warm.
 	reportScratch []Entry
-	keepScratch   []kept
+	radixKeys     []radixRec
+	radixTmp      []radixRec
 }
 
-// kept is a surviving entry and its stored probe hash, carried across the
-// EndInterval rebuild so re-homing never rehashes the key.
-type kept struct {
-	e Entry
-	h uint64
+// radixRec is Report's sort record: an entry's position in the report (or
+// in a run of it) and its sort key, the complement of the value it orders
+// by, so ascending keys are descending values. At 16 bytes a record moves a
+// third of the data an Entry would through each pass.
+type radixRec struct {
+	key uint64
+	pos uint32
 }
 
 // New creates a flow memory with room for capacity entries. It panics if
@@ -205,18 +211,18 @@ func (m *Memory) InsertHash(h uint64, key flow.Key, initialBytes uint64) *Entry 
 	return e
 }
 
-// insertKept re-homes a surviving entry during the EndInterval rebuild from
-// its stored probe hash — the key is never rehashed. The table was just
-// cleared, so the slot found is always empty.
-func (m *Memory) insertKept(k kept) {
-	i := k.h & m.mask
+// insertKept re-homes surviving entry e during the EndInterval rebuild from
+// its stored probe hash h — the key is never rehashed, and the table holds
+// no other entry with that key, so the first empty slot is its place.
+func (m *Memory) insertKept(h uint64, e Entry) {
+	i := h & m.mask
 	for m.ctrl[i] != 0 {
 		i = (i + 1) & m.mask
 	}
 	m.ctrl[i] = 1
-	m.hashes[i] = k.h
+	m.hashes[i] = h
 	m.count++
-	m.slots[i] = k.e
+	m.slots[i] = e
 }
 
 // Policy is the interval-transition policy of Section 3.3.1.
@@ -237,76 +243,187 @@ type Policy struct {
 }
 
 // Report returns the current entries as estimates, sorted by descending
-// byte count (ties broken by key for determinism). The returned slice is
-// scratch reused by the next Report call; callers must not retain it across
-// calls.
+// byte count, ties by descending key (Hi, then Lo) for determinism. The
+// returned slice is scratch reused by the next Report call; callers must
+// not retain it across calls.
+//
+// The entries are copied out in slot order, one sequential sweep of the
+// table. Their byte order comes from a stable LSD radix sort of compact
+// (^Bytes, position) records, and the copies are then permuted into that
+// order in place. Only runs of equal counts are sorted by key: long runs
+// with radix passes over the key, short ones with comparisons.
 func (m *Memory) Report() []Entry {
-	out := m.reportScratch[:0]
+	n := m.count
+	out := slices.Grow(m.reportScratch[:0], n)[:n]
+	recs := growRecs(m.radixKeys, n)
+	tmp := growRecs(m.radixTmp, n)
+	m.reportScratch, m.radixKeys, m.radixTmp = out, recs, tmp
+	var span uint64 // OR of all counts: same highest set bit as the largest
+	j := 0
 	for i, c := range m.ctrl {
 		if c != 0 {
-			out = append(out, m.slots[i])
+			out[j] = m.slots[i]
+			span |= out[j].Bytes
+			recs[j] = radixRec{key: ^out[j].Bytes, pos: uint32(j)}
+			j++
 		}
 	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		if a.Bytes != b.Bytes {
-			if a.Bytes > b.Bytes {
-				return -1
-			}
-			return 1
+	recs, tmp = radixSort(recs, tmp, span)
+	permute(out, recs)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && out[hi].Bytes == out[lo].Bytes {
+			hi++
 		}
-		if a.Key.Hi != b.Key.Hi {
-			if a.Key.Hi > b.Key.Hi {
-				return -1
-			}
-			return 1
+		switch {
+		case hi-lo >= radixRun:
+			sortByKey(out[lo:hi], recs[lo:hi], tmp[lo:hi])
+		case hi-lo > 1:
+			slices.SortFunc(out[lo:hi], byKeyDesc)
 		}
-		if a.Key.Lo != b.Key.Lo {
-			if a.Key.Lo > b.Key.Lo {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	m.reportScratch = out
+		lo = hi
+	}
 	return out
+}
+
+// radixRun is the shortest run of equal counts Report orders by key with
+// radix passes rather than a comparison sort. A key takes up to 16 passes,
+// each with a fixed 256-bucket cost, so only long runs — the preserved
+// entries that saw no traffic — repay them. Measured on random keys, the
+// two cost the same per entry between 128 and 384 entries; radix passes
+// take half the time from 1024 up (EXPERIMENTS.md, "Interval close").
+const radixRun = 256
+
+// sortByKey orders run, whose entries all have the same count, by
+// descending key. It radix-sorts records of the run's positions twice, by
+// ^Lo and then stably by ^Hi (the more significant word last), and then
+// moves each entry once. recs and tmp are scratch of the run's length.
+func sortByKey(run []Entry, recs, tmp []radixRec) {
+	var span uint64
+	for i := range run {
+		recs[i] = radixRec{key: ^run[i].Key.Lo, pos: uint32(i)}
+		span |= run[i].Key.Lo
+	}
+	recs, tmp = radixSort(recs, tmp, span)
+	span = 0
+	for i := range recs {
+		hi := run[recs[i].pos].Key.Hi
+		recs[i].key = ^hi
+		span |= hi
+	}
+	recs, _ = radixSort(recs, tmp, span)
+	permute(run, recs)
+}
+
+// permute reorders entries in place so that entries[k] holds what
+// entries[recs[k].pos] held before the call. It follows each cycle of the
+// permutation once, marking a filled position k by setting recs[k].pos to k.
+func permute(entries []Entry, recs []radixRec) {
+	for k := range recs {
+		if int(recs[k].pos) == k {
+			continue
+		}
+		first := entries[k]
+		cur := k
+		for {
+			next := int(recs[cur].pos)
+			recs[cur].pos = uint32(cur)
+			if next == k {
+				entries[cur] = first
+				break
+			}
+			entries[cur] = entries[next]
+			cur = next
+		}
+	}
+}
+
+// byKeyDesc orders entries by descending key: Hi, then Lo.
+func byKeyDesc(a, b Entry) int {
+	if c := cmp.Compare(b.Key.Hi, a.Key.Hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Key.Lo, a.Key.Lo)
+}
+
+// growRecs returns buf resized to n records. It reallocates only when the
+// capacity is short, and then to exactly n: unlike append's doubling, the
+// buffers never hold more than the largest report needed.
+func growRecs(buf []radixRec, n int) []radixRec {
+	if cap(buf) < n {
+		return make([]radixRec, n)
+	}
+	return buf[:n]
+}
+
+// radixSort sorts recs by key with a stable LSD radix sort in 8-bit
+// digits, using tmp (of the same length) as the second buffer. Every key is
+// the complement of a value, and span is the OR of those values: digits
+// above its highest set bit are 0xFF in every key, so the sort stops there,
+// and a digit every record shares is skipped. It returns the buffer holding
+// the sorted records and the other one.
+func radixSort(recs, tmp []radixRec, span uint64) (sorted, spare []radixRec) {
+	for shift := 0; shift < bits.Len64(span); shift += 8 {
+		var count [256]int
+		for _, r := range recs {
+			count[uint8(r.key>>shift)]++
+		}
+		if count[uint8(recs[0].key>>shift)] == len(recs) {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, r := range recs {
+			d := uint8(r.key >> shift)
+			tmp[count[d]] = r
+			count[d]++
+		}
+		recs, tmp = tmp, recs
+	}
+	return recs, tmp
 }
 
 // EndInterval applies the transition policy: without preservation the table
 // is erased; with it, surviving entries get their byte counts reset and are
-// marked Exact for the next interval. Eviction is tombstone-free: survivors
-// are collected and the table rebuilt, so probe chains stay intact and
-// short. It returns the number of entries kept. Entry pointers obtained
-// before the call are invalid afterwards.
+// marked Exact for the next interval. It returns the number of entries
+// kept. Entry pointers obtained before the call are invalid afterwards.
+//
+// Eviction is tombstone-free and in place: one sweep in slot order, starting
+// just past an empty slot so every probe cluster is met from its start,
+// takes each entry out and re-homes the survivors from their stored probe
+// hashes. A survivor's home lies in its cluster, which the sweep has
+// already rebuilt up to the slot just emptied, so it lands between its home
+// and that slot — exactly where inserting the survivors into an empty
+// table in sweep order would put it. The sweep touches the table in address
+// order and needs no scratch.
 func (m *Memory) EndInterval(p Policy) int {
 	if !p.Preserve {
 		m.clear()
 		return 0
 	}
-	keep := m.keepScratch[:0]
-	for i, c := range m.ctrl {
-		if c == 0 {
+	start := uint64(0) // the table is at most 2/3 full, so an empty slot exists
+	for m.ctrl[start] != 0 {
+		start++
+	}
+	for k := uint64(1); k <= m.mask; k++ {
+		i := (start + k) & m.mask
+		if m.ctrl[i] == 0 {
 			continue
 		}
-		e := m.slots[i]
+		m.ctrl[i] = 0
+		m.count--
+		e := &m.slots[i]
 		survives := e.Bytes >= p.Threshold
 		if !survives && e.CreatedThisInterval {
 			survives = e.Bytes >= p.EarlyRemoval
 		}
-		if !survives {
-			continue
+		if survives {
+			m.insertKept(m.hashes[i], Entry{Key: e.Key, Exact: true})
 		}
-		e.Bytes = 0
-		e.Debt = 0
-		e.CreatedThisInterval = false
-		e.Exact = true
-		keep = append(keep, kept{e: e, h: m.hashes[i]})
 	}
-	m.clear()
-	for _, k := range keep {
-		m.insertKept(k)
-	}
-	m.keepScratch = keep
 	return m.count
 }
 

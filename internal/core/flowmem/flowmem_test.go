@@ -155,6 +155,29 @@ func TestEndIntervalEarlyRemoval(t *testing.T) {
 	}
 }
 
+// TestEndIntervalWrappedCluster pins the in-place rebuild on a probe
+// cluster that wraps past the table's last slot, with an eviction at its
+// start: survivors homed near the end but stored at the front must still be
+// found, so the rebuild has to meet the cluster from its start.
+func TestEndIntervalWrappedCluster(t *testing.T) {
+	m := New(4) // 8 slots
+	last := m.mask
+	homes := []uint64{last - 1, last - 1, last - 1, last} // slots 6, 7, 0, 1
+	for i, h := range homes {
+		m.InsertHash(h, key(uint64(i)), 5000)
+	}
+	m.LookupHash(homes[0], key(0)).CreatedThisInterval = false
+	m.LookupHash(homes[0], key(0)).Bytes = 0 // evicted: old and below T
+	if kept := m.EndInterval(Policy{Preserve: true, Threshold: 1000}); kept != 3 {
+		t.Fatalf("kept %d entries, want 3", kept)
+	}
+	for i, h := range homes[1:] {
+		if m.LookupHash(h, key(uint64(i+1))) == nil {
+			t.Errorf("survivor %d (home %d) lost by the rebuild", i+1, h)
+		}
+	}
+}
+
 func TestEndIntervalFreesCapacity(t *testing.T) {
 	m := New(2)
 	m.Insert(key(1), 1)

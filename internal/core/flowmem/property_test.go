@@ -1,7 +1,9 @@
 package flowmem
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +269,107 @@ func TestQuickReportConservation(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortReportReference is the comparison sort Report used before its radix
+// order: descending Bytes, then descending Key.Hi, then descending Key.Lo.
+func sortReportReference(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if a.Bytes != b.Bytes {
+			if a.Bytes > b.Bytes {
+				return -1
+			}
+			return 1
+		}
+		if a.Key.Hi != b.Key.Hi {
+			if a.Key.Hi > b.Key.Hi {
+				return -1
+			}
+			return 1
+		}
+		if a.Key.Lo != b.Key.Lo {
+			if a.Key.Lo > b.Key.Lo {
+				return -1
+			}
+			return 1
+		}
+		return 0
+	})
+}
+
+// TestReportOrderMatchesComparator: the radix-ordered Report must return
+// exactly the sequence the comparison sort produces, over random tables
+// whose counts tie heavily (many zeros, few distinct small values), spread
+// over every digit, or reach past 2^32 — across interval transitions, so
+// the scratch shared by Report and EndInterval is exercised too.
+func TestReportOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	counts := []func() uint64{
+		func() uint64 { return 0 },
+		func() uint64 { return uint64(rng.Intn(4)) * 1500 },
+		func() uint64 { return uint64(rng.Intn(1 << 24)) },
+		func() uint64 { return 1<<32 + uint64(rng.Intn(3))<<32 + uint64(rng.Intn(2)) },
+		func() uint64 { return rng.Uint64() },
+	}
+	for round := 0; round < 200; round++ {
+		capacity := 1 + rng.Intn(3000)
+		m := New(capacity)
+		mix := rng.Perm(len(counts))[:1+rng.Intn(len(counts))]
+		for interval := 0; interval < 3; interval++ {
+			for i := rng.Intn(capacity + 1); i > 0; i-- {
+				k := flow.Key{Hi: uint64(rng.Intn(4)), Lo: rng.Uint64() >> uint(rng.Intn(64))}
+				e := m.Lookup(k)
+				if e == nil {
+					e = m.Insert(k, 0)
+				}
+				if e != nil {
+					e.Bytes += counts[mix[rng.Intn(len(mix))]]()
+				}
+			}
+			var want []Entry
+			for i, c := range m.ctrl {
+				if c != 0 {
+					want = append(want, m.slots[i])
+				}
+			}
+			sortReportReference(want)
+			if got := m.Report(); !slices.Equal(got, want) {
+				t.Fatalf("round %d interval %d: radix report of %d entries differs from the comparator's", round, interval, len(got))
+			}
+			m.EndInterval(Policy{Preserve: interval%2 == 0, Threshold: 3000})
+		}
+	}
+}
+
+// BenchmarkRunKeySort orders one run of equal-count entries with random keys
+// both ways Report can — radix passes and a comparison sort — across run
+// lengths around radixRun. Each op copies the run and sorts it.
+func BenchmarkRunKeySort(b *testing.B) {
+	for _, n := range []int{16, 64, 128, 192, 256, 384, 512, 1024, 4096, 11000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		src := make([]Entry, n)
+		for i := range src {
+			src[i].Key = flow.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		}
+		run := make([]Entry, n)
+		recs := make([]radixRec, n)
+		tmp := make([]radixRec, n)
+		sorts := []struct {
+			name string
+			sort func()
+		}{
+			{"sortfunc", func() { slices.SortFunc(run, byKeyDesc) }},
+			{"radix", func() { sortByKey(run, recs, tmp) }},
+		}
+		for _, s := range sorts {
+			b.Run(fmt.Sprintf("n=%d/%s", n, s.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(run, src)
+					s.sort()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+			})
+		}
 	}
 }

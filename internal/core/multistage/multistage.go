@@ -97,8 +97,8 @@ func (c Config) Validate() error {
 	if c.MaxEntries < 0 {
 		return cfgerr.New("multistage", "MaxEntries", "must not be negative, got %d", c.MaxEntries)
 	}
-	if c.Threshold < 1 {
-		return cfgerr.New("multistage", "Threshold", "must be at least 1, got %d", c.Threshold)
+	if c.Threshold < 1 || c.Threshold > counterCap {
+		return cfgerr.New("multistage", "Threshold", "must be in [1, %d], got %d", uint64(counterCap), c.Threshold)
 	}
 	if c.Hash != "" && hashing.FamilyByName(c.Hash, 0) == nil {
 		return cfgerr.New("multistage", "Hash", "unknown hash family %q", c.Hash)
@@ -119,8 +119,14 @@ type Filter struct {
 	// counters is the d×b stage counter array flattened into one
 	// allocation (stage i, bucket j at i·b + j), the software analogue of
 	// the paper's SRAM counter banks: no per-stage slice headers or
-	// pointer hops on the packet path, and one clear() per interval.
+	// pointer hops on the packet path. Stored values are absolute: a
+	// counter's value in the current interval is max(c, base) − base.
 	counters []uint64
+	// base is the current interval's counter floor. Closing an interval
+	// raises it by counterStride instead of clearing the counters, so every
+	// counter written in an earlier interval reads as zero and the close
+	// costs O(1), not O(d·b); see nextEpoch.
+	base uint64
 	// buckets is the per-stage width b; stage i's counters start at i·b.
 	buckets uint32
 	hashes  []hashing.Func
@@ -177,6 +183,19 @@ const DefaultPrefetchTiles = 2
 // tiles (256 packets) the prefetched footprint itself starts thrashing L1
 // and the lookahead turns into cache pollution.
 const MaxPrefetchTiles = 8
+
+// Interval floor constants. Within one interval a counter's value stays in
+// [0, counterCap] (writes saturate there), so every stored counter is below
+// base+counterStride — the next interval's floor — and reads as zero once
+// the floor advances. Floors run 0, counterStride, … up to maxBase; the
+// close after maxBase clears the counters once and restarts the floor at
+// zero, which happens every 65 535 intervals. maxBase leaves room above
+// the last interval's values for one more packet size without overflow.
+const (
+	counterStride = 1 << 48
+	counterCap    = counterStride - 1
+	maxBase       = math.MaxUint64 - 2*counterStride + 1
+)
 
 // New creates a multistage filter.
 func New(cfg Config) (*Filter, error) {
@@ -527,28 +546,40 @@ func (f *Filter) hashStages(key flow.Key) []uint32 {
 
 // scanMin reads the counter at every offset in idx and returns the
 // smallest value — the filter's proven bound on the flow's traffic so far.
+// The floor is applied once to the raw minimum: min commutes with max.
 func (f *Filter) scanMin(idx []uint32, cost *memmodel.Counter) uint64 {
-	min := uint64(math.MaxUint64)
+	lo := uint64(math.MaxUint64)
 	for _, o := range idx {
 		cost.SRAM(1, 0)
-		if c := f.counters[o]; c < min {
-			min = c
-		}
+		lo = min(lo, f.counters[o])
 	}
-	return min
+	return f.value(lo)
+}
+
+// value returns stored counter c's value in the current interval: a counter
+// last written before the floor was raised reads as zero.
+func (f *Filter) value(c uint64) uint64 { return max(c, f.base) - f.base }
+
+// bump returns stored counter c with size added in the current interval:
+// lifted to the floor first (a stale counter counts from zero), saturating
+// at the interval's largest value.
+func (f *Filter) bump(c uint64, size uint32) uint64 {
+	return min(max(c, f.base)+uint64(size), f.base+counterCap)
 }
 
 // raiseStages applies the counter update for a packet that did not pass the
-// filter. With conservative update every counter becomes max(old, min+size):
-// the smallest counter is updated normally, larger ones only rise to the
-// proven upper bound of this flow's traffic. Otherwise every counter grows
-// by the packet size.
-func (f *Filter) raiseStages(idx []uint32, size uint32, min uint64, cost *memmodel.Counter) {
+// filter; lo is the packet's scanMin. With conservative update every counter
+// becomes max(old, lo+size): the smallest counter is updated normally,
+// larger ones only rise to the proven upper bound of this flow's traffic.
+// Otherwise every counter grows by the packet size.
+func (f *Filter) raiseStages(idx []uint32, size uint32, lo uint64, cost *memmodel.Counter) {
 	if !f.cfg.Conservative {
 		f.addStages(idx, size, cost)
 		return
 	}
-	bound := min + uint64(size)
+	// The bound is compared in stored (absolute) terms: it is at least
+	// base, so raising a stale counter to it also lifts it to the floor.
+	bound := f.base + min(lo+uint64(size), counterCap)
 	for _, o := range idx {
 		if f.counters[o] < bound {
 			f.counters[o] = bound
@@ -560,7 +591,7 @@ func (f *Filter) raiseStages(idx []uint32, size uint32, min uint64, cost *memmod
 // addStages adds the packet size to the counter at every offset in idx.
 func (f *Filter) addStages(idx []uint32, size uint32, cost *memmodel.Counter) {
 	for _, o := range idx {
-		f.counters[o] += uint64(size)
+		f.counters[o] = f.bump(f.counters[o], size)
 		cost.SRAM(0, 1)
 	}
 }
@@ -569,20 +600,20 @@ func (f *Filter) addStages(idx []uint32, size uint32, cost *memmodel.Counter) {
 // filter; idx holds the packet's flat counter offsets and fmh its flow
 // memory probe hash.
 func (f *Filter) processParallel(key flow.Key, size uint32, fmh uint64, idx []uint32, cost *memmodel.Counter) {
-	min := f.scanMin(idx, cost)
-	if min+uint64(size) >= f.cfg.Threshold {
+	lo := f.scanMin(idx, cost)
+	if lo+uint64(size) >= f.cfg.Threshold {
 		// The flow passes the filter. With conservative update, promoted
 		// packets update no counters (Section 3.3.2 second change); the
 		// classic rule updates them first.
 		if !f.cfg.Conservative {
 			f.addStages(idx, size, cost)
 		}
-		// min bounds the flow's traffic before this packet: its own bytes
+		// lo bounds the flow's traffic before this packet: its own bytes
 		// are contained in every counter it hashes to.
-		f.promote(key, size, fmh, min, cost)
+		f.promote(key, size, fmh, lo, cost)
 		return
 	}
-	f.raiseStages(idx, size, min, cost)
+	f.raiseStages(idx, size, lo, cost)
 }
 
 // serialAdd pushes the packet through the serial stages at the offsets in
@@ -592,8 +623,9 @@ func (f *Filter) serialAdd(idx []uint32, size uint32, cost *memmodel.Counter) bo
 	st := f.stageThreshold()
 	for _, o := range idx {
 		cost.SRAM(1, 1)
-		f.counters[o] += uint64(size)
-		if f.counters[o] < st {
+		c := f.bump(f.counters[o], size)
+		f.counters[o] = c
+		if c-f.base < st {
 			return false // packet stops here; later stages never see it
 		}
 	}
@@ -613,7 +645,7 @@ func (f *Filter) processSerial(key flow.Key, size uint32, fmh uint64, idx []uint
 		pass := true
 		for _, o := range idx {
 			cost.SRAM(1, 0)
-			if f.counters[o]+uint64(size) < st {
+			if f.value(f.counters[o])+uint64(size) < st {
 				pass = false
 				break
 			}
@@ -658,7 +690,8 @@ func (f *Filter) promote(key flow.Key, size uint32, fmh uint64, debt uint64, cos
 
 // EndInterval implements core.Algorithm: it reports the tracked flows,
 // applies the preservation policy to flow memory, and reinitializes all
-// stage counters (Section 3.3.1: "only reinitializing stage counters").
+// stage counters (Section 3.3.1: "only reinitializing stage counters") by
+// advancing the counter floor.
 func (f *Filter) EndInterval() []core.Estimate {
 	return f.AppendEstimates(make([]core.Estimate, 0, f.mem.Len()))
 }
@@ -680,9 +713,21 @@ func (f *Filter) AppendEstimates(dst []core.Estimate) []core.Estimate {
 		Threshold: f.cfg.Threshold,
 	})
 	f.tel.ObserveInterval(f.cfg.Threshold, kept, before-kept)
-	clear(f.counters)
+	f.nextEpoch()
 	f.dropped = 0
 	return dst
+}
+
+// nextEpoch zeroes every stage counter for the next interval by raising the
+// floor one stride above everything the closing interval can have stored.
+// Only when the floor would pass maxBase are the counters really cleared.
+func (f *Filter) nextEpoch() {
+	if f.base >= maxBase {
+		clear(f.counters)
+		f.base = 0
+		return
+	}
+	f.base += counterStride
 }
 
 // EntriesUsed implements core.Algorithm.
@@ -694,11 +739,11 @@ func (f *Filter) Capacity() int { return f.mem.Capacity() }
 // Threshold implements core.Algorithm.
 func (f *Filter) Threshold() uint64 { return f.cfg.Threshold }
 
-// SetThreshold implements core.Algorithm.
+// SetThreshold implements core.Algorithm. t is clamped to [1, counterCap]:
+// counters saturate at counterCap, so a larger threshold could never be
+// reached.
 func (f *Filter) SetThreshold(t uint64) {
-	if t < 1 {
-		t = 1
-	}
+	t = min(max(t, 1), counterCap)
 	f.cfg.Threshold = t
 	f.tel.SetThreshold(t)
 }
@@ -716,9 +761,10 @@ func (f *Filter) Telemetry() *telemetry.Algorithm { return &f.tel }
 // interval but were dropped because the flow memory was full.
 func (f *Filter) Dropped() uint64 { return f.dropped }
 
-// CounterValue exposes a stage counter for tests and diagnostics.
+// CounterValue exposes a stage counter's value in the current interval for
+// tests and diagnostics.
 func (f *Filter) CounterValue(stage int, bucket int) uint64 {
-	return f.counters[stage*int(f.buckets)+bucket]
+	return f.value(f.counters[stage*int(f.buckets)+bucket])
 }
 
 // BucketOf exposes the bucket a key hashes to at a stage, for tests.

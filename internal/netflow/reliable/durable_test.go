@@ -365,22 +365,31 @@ func TestCollectorDoubleRestart(t *testing.T) {
 	waitFor(t, "life 1 aggregated", func() bool { return len(*agg1) == 2 })
 	srv1.Close()
 
-	// Life 2: recovers 1..2 from WAL; replay 1..4 → exactly 2 duplicates.
+	// A restarted exporter resends from frame 1, so the first frame is always
+	// a duplicate. The collector's cumulative re-ack may reach the exporter
+	// before it has resent the rest of the already-delivered prefix, so
+	// anywhere from one to all of that prefix arrives again.
+	checkDuplicates := func(life int, srv *Server, prefix uint64) {
+		t.Helper()
+		if d := srv.Stats().Duplicates; d < 1 || d > prefix {
+			t.Fatalf("life %d duplicates = %d, want 1..%d (the replayed prefix)", life, d, prefix)
+		}
+	}
+
+	// Life 2: recovers 1..2 from WAL; replay 1..4 → 1..2 duplicates.
 	j2, srv2, agg2, rec2 := startJournaledCollector(t, dir, addr)
 	if rec2.Watermarks[7] != 3 {
 		t.Fatalf("life 2 watermark = %d, want 3", rec2.Watermarks[7])
 	}
 	runExporter(4)
 	waitFor(t, "life 2 aggregated", func() bool { return len(*agg2) == 4 })
-	if d := srv2.Stats().Duplicates; d != 2 {
-		t.Fatalf("life 2 duplicates = %d, want exactly 2", d)
-	}
+	checkDuplicates(2, srv2, 2)
 	if err := j2.Snapshot(func() []byte { return joinState(*agg2) }); err != nil {
 		t.Fatal(err)
 	}
 	srv2.Close()
 
-	// Life 3: recovers 1..4 from the snapshot; replay 1..5 → 4 duplicates.
+	// Life 3: recovers 1..4 from the snapshot; replay 1..5 → 1..4 duplicates.
 	j3, srv3, agg3, rec3 := startJournaledCollector(t, dir, addr)
 	defer func() { srv3.Close(); j3.Close() }()
 	if rec3.Watermarks[7] != 5 {
@@ -388,9 +397,7 @@ func TestCollectorDoubleRestart(t *testing.T) {
 	}
 	runExporter(5)
 	waitFor(t, "life 3 aggregated", func() bool { return len(*agg3) == 5 })
-	if d := srv3.Stats().Duplicates; d != 4 {
-		t.Fatalf("life 3 duplicates = %d, want exactly 4", d)
-	}
+	checkDuplicates(3, srv3, 4)
 
 	want := []string{"pkt-1", "pkt-2", "pkt-3", "pkt-4", "pkt-5"}
 	if !reflect.DeepEqual(*agg3, want) {

@@ -73,12 +73,15 @@ type Ring[T any] struct {
 
 // New builds a ring with the given logical capacity (it accepts exactly
 // capacity elements before TryPush reports full, matching a channel of that
-// capacity). Slot storage is rounded up to a power of two internally.
+// capacity). Slot storage is rounded up to a power of two internally, and
+// to at least two slots: in a one-slot ring a pushed slot's sequence (p+1)
+// equals the "writable at p+1" value, so the producer could refill the slot
+// between a pop's head CAS and its read of the value.
 func New[T any](capacity int) *Ring[T] {
 	if capacity < 1 {
 		panic("spsc: capacity must be at least 1")
 	}
-	n := 1
+	n := 2
 	for n < capacity {
 		n <<= 1
 	}

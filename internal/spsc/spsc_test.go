@@ -107,6 +107,27 @@ func TestBlockingHandoff(t *testing.T) {
 	wg.Wait()
 }
 
+// TestOneSlotPopRace replays, step by step, the interleaving that broke a
+// capacity-1 ring built on one slot: the consumer wins the head CAS for an
+// element, and before it reads the value the producer — seeing the ring
+// empty — pushes the next one. The push must not land in the slot being
+// popped.
+func TestOneSlotPopRace(t *testing.T) {
+	r := New[int](1)
+	if !r.TryPush(1) {
+		t.Fatal("push into empty ring rejected")
+	}
+	pos := r.head.Load()
+	s := &r.slots[pos&r.mask]
+	if !r.head.CompareAndSwap(pos, pos+1) { // the consumer's claim in take
+		t.Fatal("head CAS failed")
+	}
+	r.TryPush(2)
+	if s.val != 1 {
+		t.Fatalf("slot being popped holds %d, want 1: the push overwrote it", s.val)
+	}
+}
+
 // TestStealVsPop races the producer-side Steal against the consumer's Pop;
 // every pushed element must surface exactly once on exactly one side.
 func TestStealVsPop(t *testing.T) {
