@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/telemetry"
 )
 
 // durableConfig is fastConfig plus a disk spool.
@@ -184,6 +185,35 @@ func TestDurableSpoolAckTruncatesSegments(t *testing.T) {
 	})
 	if tr := exp.Durability().Snapshot().Truncations; tr == 0 {
 		t.Fatal("no segment truncations recorded despite full ack")
+	}
+}
+
+// TestDurableSpoolAckSurvivesRotation pins the ack watermark when the ack
+// record itself fills the open segment: the rotation closes the segment
+// holding the ack, which the ack also covers, and it must not be deleted —
+// recovery would otherwise find no ack and restart the sequence space.
+func TestDurableSpoolAckSurvivesRotation(t *testing.T) {
+	dir := t.TempDir()
+	// magic 8 + data record 26 + commit 17 = 51 stays under 60; the 17-byte
+	// ack record crosses it.
+	s, _, err := openDiskSpool(dir, FsyncPerBatch, 0, 60, 1<<20, nil, new(telemetry.Durable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.appendData(1, 1, []byte("x"))
+	s.appendCommit(1)
+	s.appendAck(1)
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec, err := openDiskSpool(dir, FsyncPerBatch, 0, 60, 1<<20, nil, new(telemetry.Durable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.lastAck != 1 || rec.nextSeq != 1 || len(rec.frames) != 0 {
+		t.Fatalf("recovery = ack %d, next seq %d, %d frames; want ack 1, next seq 1, no backlog",
+			rec.lastAck, rec.nextSeq, len(rec.frames))
 	}
 }
 

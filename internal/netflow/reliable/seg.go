@@ -71,8 +71,10 @@ type FsyncPolicy int
 
 const (
 	// FsyncPerBatch (the default) fsyncs once per append batch — one fsync
-	// per Enqueue on the device, one per delivered frame batch on the
-	// collector. A crash can lose at most the current batch.
+	// per Enqueue on the device, one per group commit on the collector (the
+	// frames a connection's worker drained in one go, acked together after
+	// the fsync). A crash can lose at most the current batch, which was
+	// not yet acked.
 	FsyncPerBatch FsyncPolicy = iota
 	// FsyncPerFrame fsyncs after every record. Slowest, and the only policy
 	// under which a frame can never be on the wire without being on disk —

@@ -39,13 +39,15 @@ type ServerConfig struct {
 	// device's ring (which has an eviction policy) instead of growing
 	// unbounded here.
 	InflightBudgetBytes int
-	// Journal, when set, makes delivery crash-safe: each frame is appended
-	// to the write-ahead log (and fsynced per the journal's policy) in the
-	// same critical section that runs the handler, before the ack is
-	// written — so every acked frame is recoverable. The server also seeds
-	// its per-exporter sequence state from the journal's recovered
-	// watermarks, so a restarted collector neither regresses its acks nor
-	// re-counts replayed frames.
+	// Journal, when set, makes delivery crash-safe. The worker delivers in
+	// group commits: each batch of frames drained from a connection's queue
+	// is appended to the write-ahead log and committed together (one fsync
+	// per batch under FsyncPerBatch) in the same critical section that runs
+	// the handler, before the batch's one cumulative ack is written — so
+	// every acked frame is recoverable. The server also seeds its
+	// per-exporter sequence state from the journal's recovered watermarks,
+	// so a restarted collector neither regresses its acks nor re-counts
+	// replayed frames.
 	Journal *Journal
 }
 
@@ -70,9 +72,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // exporterState is the per-exporter sequence accounting, keyed by the
 // exporter ID from the hello frame so it survives reconnects. Its mutex
-// serializes delivery per exporter: classification, the handler call and
-// the ack are one critical section, so duplicates are exact and the
-// handler sees each exporter's frames in order.
+// serializes delivery per exporter: a batch's classification, journal
+// commit and handler calls are one critical section, so duplicates are
+// exact and the handler sees each exporter's frames in order.
 type exporterState struct {
 	mu         sync.Mutex
 	next       uint64 // next expected sequence; next-1 is the cumulative ack
@@ -338,9 +340,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.badFrames.Add(1)
 			return
 		}
-		s.frames.Add(1)
-		s.dataBytes.Add(uint64(len(f.payload)))
-
 		// The payload aliases the read buffer; the worker needs its own copy.
 		qf := srvFrame{seq: f.seq, payload: append([]byte(nil), f.payload...)}
 		queued := c.queuedBytes.Add(int64(len(qf.payload)))
@@ -348,6 +347,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.pause(c)
 		}
 		c.queue <- qf
+		// Counted once queued: a frame in Frames is visible to the worker's
+		// next batch drain.
+		s.frames.Add(1)
+		s.dataBytes.Add(uint64(len(qf.payload)))
 	}
 }
 
@@ -374,16 +377,35 @@ func (s *Server) classifyReadError(err error, handshake bool) {
 	}
 }
 
-// deliverLoop is a connection's worker: it dequeues frames in order,
-// classifies them against the exporter's sequence state, journals and
-// delivers the fresh ones, writes the cumulative ack, and lifts the pause
-// once the queued backlog halves. On a hard Close it discards the rest of
-// its queue — those frames were never acked, so the exporter redelivers
-// them and dedup keeps the accounting exact.
+// deliverLoop is a connection's worker. It delivers in group commits: it
+// takes the first queued frame plus every frame already queued behind it,
+// classifies the batch against the exporter's sequence state, journals the
+// fresh frames with one WAL commit (so FsyncPerBatch costs one fsync per
+// batch, not per frame), hands them to the handler in order, and only then
+// writes one cumulative ack for the whole batch. It lifts the pause once the
+// queued backlog halves. On a hard Close it discards the rest of its queue —
+// those frames were never acked, so the exporter redelivers them and dedup
+// keeps the accounting exact.
 func (s *Server) deliverLoop(c *srvConn, exporter uint64, st *exporterState) {
 	var ackBuf [lenBytes + 1 + 8 + crcBytes]byte
+	batch := make([]srvFrame, 0, cap(c.queue))
+	apply := func(f srvFrame) {
+		if s.handler != nil {
+			s.handler(exporter, f.seq, f.payload)
+		}
+	}
 	for f := range c.queue {
-		queued := c.queuedBytes.Add(-int64(len(f.payload)))
+		batch = append(batch[:0], f)
+		// This worker is the queue's only receiver, so a non-empty queue
+		// (closed or not) never blocks the receive.
+		for len(batch) < cap(batch) && len(c.queue) > 0 {
+			batch = append(batch, <-c.queue)
+		}
+		var n int64
+		for _, f := range batch {
+			n += int64(len(f.payload))
+		}
+		queued := c.queuedBytes.Add(-n)
 		if s.aborted.Load() {
 			continue
 		}
@@ -393,12 +415,13 @@ func (s *Server) deliverLoop(c *srvConn, exporter uint64, st *exporterState) {
 		if expected == 0 {
 			expected = 1 // sequences start at 1
 		}
-		var ack uint64
-		if f.seq < expected {
-			st.duplicates++
-			s.duplicates.Add(1)
-			ack = expected - 1 // re-ack so the exporter releases its spool
-		} else {
+		fresh := batch[:0] // compacted in place: never overtakes the range
+		for _, f := range batch {
+			if f.seq < expected {
+				st.duplicates++
+				s.duplicates.Add(1)
+				continue
+			}
 			if f.seq > expected {
 				// Sequence jumped forward: the exporter's spool overflowed
 				// and shed frames we will never see. Account the hole and
@@ -406,23 +429,27 @@ func (s *Server) deliverLoop(c *srvConn, exporter uint64, st *exporterState) {
 				st.gaps += f.seq - expected
 				s.gaps.Add(f.seq - expected)
 			}
-			if j := s.cfg.Journal; j != nil {
-				// WAL append happens-before the handler's aggregation, and
-				// both precede the ack below: acked ⇒ journaled ⇒ recoverable.
-				j.Deliver(exporter, f.seq, f.payload, func() {
-					if s.handler != nil {
-						s.handler(exporter, f.seq, f.payload)
-					}
-				})
-			} else if s.handler != nil {
-				s.handler(exporter, f.seq, f.payload)
-			}
-			st.next = f.seq + 1
-			st.delivered++
-			s.delivered.Add(1)
-			ack = f.seq
+			fresh = append(fresh, f)
+			expected = f.seq + 1
 		}
+		if j := s.cfg.Journal; j != nil {
+			// One WAL commit for the batch happens-before the handler's
+			// aggregation, and both precede the ack below:
+			// acked ⇒ journaled ⇒ recoverable.
+			j.deliver(exporter, fresh, apply)
+		} else {
+			for _, f := range fresh {
+				apply(f)
+			}
+		}
+		st.next = expected
+		st.delivered += uint64(len(fresh))
+		s.delivered.Add(uint64(len(fresh)))
+		// Cumulative, so it also re-acks a duplicate-only batch and the
+		// exporter releases its spool.
+		ack := expected - 1
 		st.mu.Unlock()
+		clear(batch) // drop payload references until the slots are reused
 
 		c.writeMu.Lock()
 		if !c.dead {

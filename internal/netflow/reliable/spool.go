@@ -204,18 +204,20 @@ func (s *diskSpool) appendCommit(report uint64) {
 }
 
 // appendAck journals a cumulative ack and deletes every closed segment it
-// fully covers. The ack record lands in the open segment first, so deleting
-// older segments can never lose the recovered lastAck watermark.
+// fully covers. The ack record lands in the open segment first, and that
+// segment is never deleted here — not even when the append rotated it out —
+// so deleting older segments can never lose the recovered lastAck watermark.
 func (s *diskSpool) appendAck(ack uint64) {
 	var head [8]byte
 	bePutUint64(head[:], ack)
+	ackSeg := s.w.idx
 	s.w.append(recAck, head[:], nil) //nolint:errcheck // sticky error checked via ok()
 	s.endBatch()
 	if s.w.err != nil {
 		return
 	}
 	n := 0
-	for n < len(s.segs) && s.segs[n].maxSeq <= ack {
+	for n < len(s.segs) && s.segs[n].maxSeq <= ack && s.segs[n].idx != ackSeg {
 		os.Remove(segPath(s.w.dir, s.w.prefix, s.segs[n].idx)) //nolint:errcheck // best-effort GC
 		n++
 	}

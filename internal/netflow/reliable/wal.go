@@ -14,10 +14,11 @@ import (
 
 // Journal is the collector's crash-safe state: a write-ahead log of every
 // delivered frame plus a periodic snapshot of the application's accumulated
-// totals and the per-exporter sequence watermarks. A frame is journaled —
-// and, under the frame/batch fsync policies, made durable — inside the same
-// critical section that hands it to the aggregation handler and before the
-// ack goes back to the exporter, so "acked" implies "recoverable": a
+// totals and the per-exporter sequence watermarks. Frames are journaled in
+// group commits — a batch is appended and, under the frame/batch fsync
+// policies, made durable — inside the same critical section that hands them
+// to the aggregation handler and before the batch's ack goes back to the
+// exporter, so "acked" implies "recoverable": a
 // restarted collector replays the WAL on top of the last snapshot and
 // neither regresses its cumulative acks nor re-counts frames it already
 // folded in.
@@ -43,9 +44,10 @@ type JournalConfig struct {
 	// Dir is the state directory; created if missing.
 	Dir string
 	// Fsync is the WAL fsync policy (default FsyncPerBatch — one fsync per
-	// delivered frame, before its ack). FsyncTimer and FsyncNone are faster
-	// but open a window where a SIGKILL loses frames the exporter was
-	// already told to forget.
+	// group commit, i.e. per batch of frames the server drains from one
+	// connection, before the batch's cumulative ack). FsyncPerFrame fsyncs
+	// every frame. FsyncTimer and FsyncNone are faster but open a window
+	// where a SIGKILL loses frames the exporter was already told to forget.
 	Fsync FsyncPolicy
 	// FsyncInterval is the FsyncTimer cadence (default 100ms).
 	FsyncInterval time.Duration
@@ -229,25 +231,41 @@ func (j *Journal) recover() (*Recovery, error) {
 
 // Deliver journals one frame and then applies it, as one critical section:
 // the WAL append (fsynced per policy) happens-before apply, and Snapshot
-// can never observe totals that include a frame the WAL does not. The
-// server calls this with the aggregation handler as apply, before writing
-// the ack. Journal failures are counted and the journal disabled — the
-// collector keeps serving from memory, degraded.
+// can never observe totals that include a frame the WAL does not. It is a
+// group commit of one frame; the server commits whole drained batches.
+// Journal failures are counted and the journal disabled — the collector
+// keeps serving from memory, degraded.
 func (j *Journal) Deliver(exporter, seq uint64, payload []byte, apply func()) {
+	one := [1]srvFrame{{seq: seq, payload: payload}}
+	j.deliver(exporter, one[:], func(srvFrame) {
+		if apply != nil {
+			apply()
+		}
+	})
+}
+
+// deliver is a group commit: it appends every frame of one exporter's batch
+// to the WAL, commits them together (one fsync under FsyncPerBatch), then
+// applies each in order — all under the journal lock, so a Snapshot sees
+// either none of the batch or all of it, together with its watermark. The
+// server calls it with the aggregation handler as apply, before writing
+// the batch's cumulative ack.
+func (j *Journal) deliver(exporter uint64, frames []srvFrame, apply func(srvFrame)) {
 	var head [16]byte
 	binary.BigEndian.PutUint64(head[0:8], exporter)
-	binary.BigEndian.PutUint64(head[8:16], seq)
 	j.mu.Lock()
-	if j.w.append(recFrame, head[:], payload) == nil {
-		j.w.commitBatch() //nolint:errcheck // sticky error surfaces in telemetry
+	defer j.mu.Unlock()
+	for _, f := range frames {
+		binary.BigEndian.PutUint64(head[8:16], f.seq)
+		j.w.append(recFrame, head[:], f.payload) //nolint:errcheck // sticky: commitBatch skips the fsync
+		if next := f.seq + 1; next > j.watermarks[exporter] {
+			j.watermarks[exporter] = next
+		}
 	}
-	if next := seq + 1; next > j.watermarks[exporter] {
-		j.watermarks[exporter] = next
+	j.w.commitBatch() //nolint:errcheck // sticky error surfaces in telemetry
+	for _, f := range frames {
+		apply(f)
 	}
-	if apply != nil {
-		apply()
-	}
-	j.mu.Unlock()
 }
 
 // Snapshot atomically persists state (the application's serialized totals)
