@@ -367,14 +367,15 @@ func BenchmarkFlowMemLookupUpdate(b *testing.B) {
 	m := flowmem.New(4096)
 	const flows = 3000
 	for i := 0; i < flows; i++ {
-		m.Insert(FlowKey{Lo: uint64(i)}, 1)
+		k := FlowKey{Lo: uint64(i)}
+		m.InsertHash(flowmem.Hash(k), k, 1)
 	}
 	key := FlowKey{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key.Lo = uint64(i % flows)
-		if e := m.Lookup(key); e != nil {
+		if e := m.LookupHash(flowmem.Hash(key), key); e != nil {
 			e.Bytes += 1000
 		}
 	}
@@ -385,14 +386,15 @@ func BenchmarkFlowMemLookupUpdate(b *testing.B) {
 func BenchmarkFlowMemLookupMiss(b *testing.B) {
 	m := flowmem.New(4096)
 	for i := 0; i < 3000; i++ {
-		m.Insert(FlowKey{Lo: uint64(i)}, 1)
+		k := FlowKey{Lo: uint64(i)}
+		m.InsertHash(flowmem.Hash(k), k, 1)
 	}
 	key := FlowKey{Hi: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key.Lo = uint64(i)
-		if m.Lookup(key) != nil {
+		if m.LookupHash(flowmem.Hash(key), key) != nil {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -404,7 +406,8 @@ func BenchmarkFlowMemLookupMiss(b *testing.B) {
 func BenchmarkFlowMemReport(b *testing.B) {
 	m := flowmem.New(4096)
 	for i := 0; i < 3000; i++ {
-		m.Insert(FlowKey{Lo: uint64(i)}, uint64(i*37%5000))
+		k := FlowKey{Lo: uint64(i)}
+		m.InsertHash(flowmem.Hash(k), k, uint64(i*37%5000))
 	}
 	m.Report() // warm the scratch outside the timed region
 	b.ReportAllocs()
@@ -503,61 +506,6 @@ func BenchmarkFilterEndIntervalDRAM(b *testing.B) {
 		arena = closer.AppendEstimates(arena[:0])
 	}
 }
-
-// ---- Unfused reference kernels: the before side of the fusion A/B ----
-
-// unfusedBatcher is implemented by algorithms that keep their pre-fusion
-// batch kernel as a reference (sample and hold, multistage filters).
-type unfusedBatcher interface {
-	ProcessBatchUnfused(keys []FlowKey, sizes []uint32)
-}
-
-func benchPacketBatchesUnfused(b *testing.B, alg Algorithm) {
-	b.Helper()
-	u, ok := alg.(unfusedBatcher)
-	if !ok {
-		b.Fatalf("%s has no unfused batch kernel", alg.Name())
-	}
-	const batch = 64
-	keys := make([]FlowKey, batch)
-	sizes := make([]uint32, batch)
-	for i := range sizes {
-		sizes[i] = 1000
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range keys {
-			keys[j].Lo = uint64((i*batch + j) % 50000)
-		}
-		u.ProcessBatchUnfused(keys, sizes)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
-}
-
-func BenchmarkSampleAndHoldPerBatchUnfused(b *testing.B) {
-	alg, err := NewSampleAndHold(SampleAndHoldConfig{
-		Entries: 4096, Threshold: 1 << 20, Oversampling: 4, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPacketBatchesUnfused(b, alg)
-}
-
-func benchFilterBatchUnfused(b *testing.B, hash string) {
-	alg, err := NewMultistageFilter(MultistageConfig{
-		Stages: 4, Buckets: 4096, Entries: 3584, Threshold: 1 << 30,
-		Conservative: true, Shield: true, Hash: hash, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPacketBatchesUnfused(b, alg)
-}
-
-func BenchmarkFilterBatchTabulationUnfused(b *testing.B) { benchFilterBatchUnfused(b, "tabulation") }
-func BenchmarkFilterBatchDoubleHashUnfused(b *testing.B) { benchFilterBatchUnfused(b, "doublehash") }
 
 // benchSink keeps pure-compute benchmark results alive.
 var benchSink uint64

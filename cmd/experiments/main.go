@@ -6,9 +6,7 @@
 //	experiments [flags] [experiment ...]
 //
 // Experiments: table1 table2 table3 figure6 table4 figure7 table5 table6
-// table7 ablations all (default: all). "prefetch" — the fused kernel's
-// prefetch-distance sweep across L2-relative table sizes — is host-specific
-// and slow, so it runs only when named explicitly.
+// table7 ablations all (default: all).
 //
 // Flags -scale and -runs trade fidelity for speed; -full runs at paper
 // scale (slow: the MAG+ trace alone is hundreds of millions of packets).
@@ -170,12 +168,6 @@ func runOne(name string, o experiments.Options) error {
 		for _, s := range studies {
 			fmt.Println(s.Format())
 		}
-	case "prefetch":
-		res, err := experiments.PrefetchSweep(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Format())
 	default:
 		return fmt.Errorf("unknown experiment %q (want one of %v)", name, append([]string{"all"}, allExperiments...))
 	}

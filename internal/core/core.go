@@ -7,6 +7,14 @@
 // maintains a small flow memory, and at the end of each measurement interval
 // reports its traffic estimates for the flows it tracked. The subpackages
 // implement the two algorithms plus the flow memory they share.
+//
+// Each of the two algorithms has exactly one packet kernel, its
+// BatchAlgorithm.ProcessBatch: a tiled pass that hashes every packet once,
+// prefetches the state it will touch, then updates it. Process is a batch
+// of one through that kernel, so per-packet and batched drivers produce
+// identical reports. Drivers feed packets with the ProcessBatch function,
+// which also serves algorithms without a batch kernel (the baselines) one
+// Process call at a time.
 package core
 
 import (
@@ -56,58 +64,33 @@ type Algorithm interface {
 	Mem() *memmodel.Counter
 }
 
-// BatchAlgorithm is implemented by algorithms with a batched fast path.
-// ProcessBatch must be observably equivalent to calling Process on each
-// (keys[i], sizes[i]) pair in order — same estimates, same memory
-// accounting totals — it only amortizes per-packet overhead (hashing
-// locality, cost bookkeeping) across the batch. The slices are only valid
-// for the duration of the call; implementations must not retain them.
+// BatchAlgorithm is implemented by algorithms whose packet kernel works on
+// whole batches: for sample and hold and the multistage filters ProcessBatch
+// is the only kernel, and Process is a batch of one. ProcessBatch must be
+// observably equivalent to calling Process on each (keys[i], sizes[i]) pair
+// in order — same estimates, same memory accounting totals. hashes is
+// either nil or holds flowmem.Hash(keys[i]) for every i, computed upstream
+// (the sharded pipeline hashes each key once to pick its shard), so the
+// kernel need not rehash; a kernel whose probe hash differs ignores it. The
+// slices are only valid for the duration of the call; implementations must
+// not retain them.
 type BatchAlgorithm interface {
 	Algorithm
-	ProcessBatch(keys []flow.Key, sizes []uint32)
+	ProcessBatch(hashes []uint64, keys []flow.Key, sizes []uint32)
 }
 
-// ProcessBatch feeds a batch of packets to alg, using its batched fast path
-// when it has one and falling back to per-packet Process otherwise. keys and
-// sizes must have equal length.
-func ProcessBatch(alg Algorithm, keys []flow.Key, sizes []uint32) {
+// ProcessBatch feeds a batch of packets to alg, using its batch kernel when
+// it has one and falling back to per-packet Process otherwise. keys and
+// sizes must have equal length; hashes is nil or holds flowmem.Hash of
+// every key.
+func ProcessBatch(alg Algorithm, hashes []uint64, keys []flow.Key, sizes []uint32) {
 	if b, ok := alg.(BatchAlgorithm); ok {
-		b.ProcessBatch(keys, sizes)
+		b.ProcessBatch(hashes, keys, sizes)
 		return
 	}
 	for i, k := range keys {
 		alg.Process(k, sizes[i])
 	}
-}
-
-// HashBatchAlgorithm is a BatchAlgorithm whose batch kernel can consume a
-// per-packet key hash computed upstream instead of rehashing every key. The
-// sharded pipeline computes one hash per packet to pick each packet's shard;
-// lanes running a HashBatchAlgorithm whose KeyHash matches the producer's
-// get that hash delivered with the batch, so across the whole pipeline each
-// key is hashed exactly once.
-type HashBatchAlgorithm interface {
-	BatchAlgorithm
-	// KeyHash returns the per-packet hash the kernel derives its flow
-	// memory probes from — the function an upstream caller must have used:
-	// ProcessBatchHash requires hashes[i] == KeyHash(keys[i]).
-	KeyHash(k flow.Key) uint64
-	// ProcessBatchHash is ProcessBatch with the per-packet key hashes
-	// supplied by the caller. It must be observably equivalent to
-	// ProcessBatch on the same keys and sizes.
-	ProcessBatchHash(hashes []uint64, keys []flow.Key, sizes []uint32)
-}
-
-// ProcessBatchHash feeds a batch with caller-computed key hashes to alg,
-// using the hash-reusing fast path when the algorithm has one and falling
-// back to ProcessBatch otherwise. hashes[i] must equal alg.KeyHash(keys[i])
-// when alg implements HashBatchAlgorithm.
-func ProcessBatchHash(alg Algorithm, hashes []uint64, keys []flow.Key, sizes []uint32) {
-	if h, ok := alg.(HashBatchAlgorithm); ok {
-		h.ProcessBatchHash(hashes, keys, sizes)
-		return
-	}
-	ProcessBatch(alg, keys, sizes)
 }
 
 // ReportAppender is implemented by algorithms that can build their interval

@@ -25,7 +25,6 @@ type IntervalReport = core.IntervalReport
 // Device drives an algorithm over a packet stream.
 type Device struct {
 	alg     core.Algorithm
-	batch   core.BatchAlgorithm // non-nil when alg has a batched fast path
 	def     flow.Definition
 	adaptor *adapt.Adaptor
 
@@ -55,8 +54,7 @@ type Device struct {
 
 // New creates a device. adaptor may be nil for a fixed threshold.
 func New(alg core.Algorithm, def flow.Definition, adaptor *adapt.Adaptor) *Device {
-	batch, _ := alg.(core.BatchAlgorithm)
-	return &Device{alg: alg, batch: batch, def: def, adaptor: adaptor, KeepReports: true}
+	return &Device{alg: alg, def: def, adaptor: adaptor, KeepReports: true}
 }
 
 // Algorithm returns the wrapped algorithm.
@@ -71,8 +69,7 @@ func (d *Device) Packet(p *flow.Packet) {
 }
 
 // PacketBatch implements trace.BatchConsumer: it extracts the batch's flow
-// keys in bulk into reusable scratch and hands them to the algorithm's
-// batched fast path (or its per-packet Process when it has none).
+// keys in bulk into reusable scratch and hands them to core.ProcessBatch.
 func (d *Device) PacketBatch(pkts []flow.Packet) {
 	n := len(pkts)
 	if cap(d.keys) < n {
@@ -84,13 +81,7 @@ func (d *Device) PacketBatch(pkts []flow.Packet) {
 		keys[i] = d.def.Key(&pkts[i])
 		sizes[i] = pkts[i].Size
 	}
-	if d.batch != nil {
-		d.batch.ProcessBatch(keys, sizes)
-		return
-	}
-	for i, k := range keys {
-		d.alg.Process(k, sizes[i])
-	}
+	core.ProcessBatch(d.alg, nil, keys, sizes)
 }
 
 // EndInterval implements trace.Consumer: it snapshots the report, applies

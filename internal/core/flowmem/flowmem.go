@@ -17,16 +17,16 @@
 // number of touches to memory that stays cache-resident, with no pointer
 // chasing and no steady-state allocation. Entries never move while an
 // interval is in progress (inserts only claim empty slots), so pointers
-// returned by Lookup and Insert stay valid until the next EndInterval, which
-// evicts by rebuilding the table without tombstones.
+// returned by LookupHash and InsertHash stay valid until the next
+// EndInterval, which evicts by rebuilding the table without tombstones.
 //
 // Each slot's 64-bit probe hash is stored in a dense array parallel to the
 // entries. Probes compare the stored hash before touching the entry, so a
 // collision chain scans compact hash words (8 per cache line) and loads a
 // 48-byte entry only on a near-certain match — and the key is never hashed
-// twice: batch kernels precompute the hash once per packet (LookupHash,
-// InsertHash, Prefetch) and the interval-transition rebuild re-homes
-// surviving entries from their stored hashes.
+// twice: the packet kernels compute Hash once per packet and pass it to
+// LookupHash, InsertHash and Prefetch, and the interval-transition rebuild
+// re-homes surviving entries from their stored hashes.
 package flowmem
 
 import (
@@ -126,9 +126,10 @@ func nextPow2(n int) int {
 // Hash mixes the 128-bit flow key down to the 64-bit value that seeds the
 // probe sequence. The table is not adversary-facing (keys already went
 // through the measurement path), so a fixed strong mix suffices and keeps
-// behavior reproducible run to run. It is exported so batch kernels can
-// compute it once per packet during their hash phase and pass it to
-// Prefetch, LookupHash and InsertHash.
+// behavior reproducible run to run. It is exported so packet kernels (and
+// the sharded pipeline, which picks each packet's shard from it) can
+// compute it once per packet and pass it to Prefetch, LookupHash and
+// InsertHash.
 func Hash(k flow.Key) uint64 {
 	h := k.Lo*0x9E3779B97F4A7C15 + k.Hi*0xC2B2AE3D27D4EB4F
 	h ^= h >> 32
@@ -148,15 +149,11 @@ func (m *Memory) Len() int { return m.count }
 // Full reports whether the table is at capacity.
 func (m *Memory) Full() bool { return m.count >= m.capacity }
 
-// Lookup returns the entry for key, or nil. The pointer stays valid — and
-// the entry in place — until the next EndInterval.
-func (m *Memory) Lookup(key flow.Key) *Entry {
-	return m.LookupHash(Hash(key), key)
-}
-
-// LookupHash is Lookup with the key's probe hash (Hash(key)) precomputed by
-// the caller — the batch kernels hash each packet once and reuse the value
-// for prefetch, lookup and insert.
+// LookupHash returns the entry for key, or nil; h is the key's probe hash,
+// which callers compute once per packet and reuse for prefetch, lookup and
+// insert. Every caller of one Memory must use the same hash function
+// (Hash, or a filter's own base hash). The pointer stays valid — and the
+// entry in place — until the next EndInterval.
 func (m *Memory) LookupHash(h uint64, key flow.Key) *Entry {
 	i := h & m.mask
 	for m.ctrl[i] != 0 {
@@ -183,14 +180,10 @@ func (m *Memory) Prefetch(h uint64) {
 // take deltas.
 func (m *Memory) Rejected() uint64 { return m.rejected }
 
-// Insert adds an entry for key with an initial byte count. It returns nil
-// when the table is full or the key is already present (callers are expected
-// to Lookup first). Full-table refusals are counted in Rejected.
-func (m *Memory) Insert(key flow.Key, initialBytes uint64) *Entry {
-	return m.InsertHash(Hash(key), key, initialBytes)
-}
-
-// InsertHash is Insert with the key's probe hash precomputed by the caller.
+// InsertHash adds an entry for key, whose probe hash is h, with an initial
+// byte count. It returns nil when the table is full or the key is already
+// present (callers are expected to LookupHash first). Full-table refusals
+// are counted in Rejected.
 func (m *Memory) InsertHash(h uint64, key flow.Key, initialBytes uint64) *Entry {
 	if m.Full() {
 		m.rejected++

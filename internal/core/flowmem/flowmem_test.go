@@ -8,33 +8,40 @@ import (
 
 func key(i uint64) flow.Key { return flow.Key{Lo: i} }
 
+// lookup and insert probe m with the key's Hash, as the packet kernels do.
+func lookup(m *Memory, k flow.Key) *Entry { return m.LookupHash(Hash(k), k) }
+
+func insert(m *Memory, k flow.Key, initialBytes uint64) *Entry {
+	return m.InsertHash(Hash(k), k, initialBytes)
+}
+
 func TestInsertLookup(t *testing.T) {
 	m := New(4)
 	if m.Capacity() != 4 || m.Len() != 0 || m.Full() {
 		t.Fatalf("fresh memory state wrong: cap=%d len=%d", m.Capacity(), m.Len())
 	}
-	e := m.Insert(key(1), 100)
+	e := insert(m, key(1), 100)
 	if e == nil || e.Bytes != 100 || !e.CreatedThisInterval || e.Exact {
 		t.Fatalf("Insert returned %+v", e)
 	}
-	if got := m.Lookup(key(1)); got != e {
+	if got := lookup(m, key(1)); got != e {
 		t.Error("Lookup did not return the inserted entry")
 	}
-	if m.Lookup(key(2)) != nil {
+	if lookup(m, key(2)) != nil {
 		t.Error("Lookup of absent key returned an entry")
 	}
 	e.Bytes += 50
-	if m.Lookup(key(1)).Bytes != 150 {
+	if lookup(m, key(1)).Bytes != 150 {
 		t.Error("entry updates not visible through Lookup")
 	}
 }
 
 func TestInsertDuplicate(t *testing.T) {
 	m := New(4)
-	if m.Insert(key(1), 10) == nil {
+	if insert(m, key(1), 10) == nil {
 		t.Fatal("first insert failed")
 	}
-	if m.Insert(key(1), 10) != nil {
+	if insert(m, key(1), 10) != nil {
 		t.Error("duplicate insert succeeded")
 	}
 	if m.Len() != 1 {
@@ -44,12 +51,12 @@ func TestInsertDuplicate(t *testing.T) {
 
 func TestInsertFull(t *testing.T) {
 	m := New(2)
-	m.Insert(key(1), 1)
-	m.Insert(key(2), 1)
+	insert(m, key(1), 1)
+	insert(m, key(2), 1)
 	if !m.Full() {
 		t.Fatal("memory should be full")
 	}
-	if m.Insert(key(3), 1) != nil {
+	if insert(m, key(3), 1) != nil {
 		t.Error("insert into full memory succeeded")
 	}
 	if m.Len() != 2 {
@@ -68,9 +75,9 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 
 func TestReportSortedBySize(t *testing.T) {
 	m := New(8)
-	m.Insert(key(1), 10)
-	m.Insert(key(2), 1000)
-	m.Insert(key(3), 500)
+	insert(m, key(1), 10)
+	insert(m, key(2), 1000)
+	insert(m, key(3), 500)
 	r := m.Report()
 	if len(r) != 3 {
 		t.Fatalf("Report len = %d", len(r))
@@ -84,7 +91,7 @@ func TestReportDeterministicOnTies(t *testing.T) {
 	mk := func() []Entry {
 		m := New(16)
 		for i := uint64(0); i < 10; i++ {
-			m.Insert(key(i), 42)
+			insert(m, key(i), 42)
 		}
 		return m.Report()
 	}
@@ -98,7 +105,7 @@ func TestReportDeterministicOnTies(t *testing.T) {
 
 func TestEndIntervalNoPreserveClears(t *testing.T) {
 	m := New(4)
-	m.Insert(key(1), 1000000)
+	insert(m, key(1), 1000000)
 	kept := m.EndInterval(Policy{Preserve: false, Threshold: 10})
 	if kept != 0 || m.Len() != 0 {
 		t.Errorf("kept=%d len=%d after non-preserving transition", kept, m.Len())
@@ -107,14 +114,14 @@ func TestEndIntervalNoPreserveClears(t *testing.T) {
 
 func TestEndIntervalPreserve(t *testing.T) {
 	m := New(8)
-	m.Insert(key(1), 2000) // above threshold: kept
-	m.Insert(key(2), 100)  // below threshold but created this interval: kept
+	insert(m, key(1), 2000) // above threshold: kept
+	insert(m, key(2), 100)  // below threshold but created this interval: kept
 	kept := m.EndInterval(Policy{Preserve: true, Threshold: 1000})
 	if kept != 2 {
 		t.Fatalf("kept = %d, want 2 (conservative rule keeps new entries)", kept)
 	}
 	for _, k := range []flow.Key{key(1), key(2)} {
-		e := m.Lookup(k)
+		e := lookup(m, k)
 		if e == nil {
 			t.Fatalf("entry %v dropped", k)
 		}
@@ -126,31 +133,31 @@ func TestEndIntervalPreserve(t *testing.T) {
 
 func TestEndIntervalPreservedOldEntriesNeedThreshold(t *testing.T) {
 	m := New(8)
-	m.Insert(key(1), 2000)
+	insert(m, key(1), 2000)
 	m.EndInterval(Policy{Preserve: true, Threshold: 1000})
 	// Next interval: the preserved entry counts only 50 bytes. It is no
 	// longer "created this interval", so it must meet the threshold to
 	// survive again.
-	m.Lookup(key(1)).Bytes = 50
+	lookup(m, key(1)).Bytes = 50
 	kept := m.EndInterval(Policy{Preserve: true, Threshold: 1000})
-	if kept != 0 || m.Lookup(key(1)) != nil {
+	if kept != 0 || lookup(m, key(1)) != nil {
 		t.Error("stale preserved entry below threshold survived")
 	}
 }
 
 func TestEndIntervalEarlyRemoval(t *testing.T) {
 	m := New(8)
-	m.Insert(key(1), 2000) // >= T: kept
-	m.Insert(key(2), 200)  // >= R: kept
-	m.Insert(key(3), 100)  // < R: removed early
+	insert(m, key(1), 2000) // >= T: kept
+	insert(m, key(2), 200)  // >= R: kept
+	insert(m, key(3), 100)  // < R: removed early
 	kept := m.EndInterval(Policy{Preserve: true, Threshold: 1000, EarlyRemoval: 150})
 	if kept != 2 {
 		t.Fatalf("kept = %d, want 2", kept)
 	}
-	if m.Lookup(key(3)) != nil {
+	if lookup(m, key(3)) != nil {
 		t.Error("entry below early removal threshold survived")
 	}
-	if m.Lookup(key(1)) == nil || m.Lookup(key(2)) == nil {
+	if lookup(m, key(1)) == nil || lookup(m, key(2)) == nil {
 		t.Error("entries above early removal threshold dropped")
 	}
 }
@@ -180,13 +187,13 @@ func TestEndIntervalWrappedCluster(t *testing.T) {
 
 func TestEndIntervalFreesCapacity(t *testing.T) {
 	m := New(2)
-	m.Insert(key(1), 1)
-	m.Insert(key(2), 1)
+	insert(m, key(1), 1)
+	insert(m, key(2), 1)
 	m.EndInterval(Policy{Preserve: true, Threshold: 10, EarlyRemoval: 5})
 	if m.Full() {
 		t.Error("early removal did not free capacity")
 	}
-	if m.Insert(key(3), 1) == nil {
+	if insert(m, key(3), 1) == nil {
 		t.Error("insert after cleanup failed")
 	}
 }
@@ -195,12 +202,12 @@ func TestPreserveExactLifecycle(t *testing.T) {
 	// An entry preserved across two boundaries stays exact while above
 	// threshold.
 	m := New(4)
-	m.Insert(key(1), 5000)
+	insert(m, key(1), 5000)
 	m.EndInterval(Policy{Preserve: true, Threshold: 1000})
-	e := m.Lookup(key(1))
+	e := lookup(m, key(1))
 	e.Bytes = 3000 // counted exactly during interval 2
 	m.EndInterval(Policy{Preserve: true, Threshold: 1000})
-	e = m.Lookup(key(1))
+	e = lookup(m, key(1))
 	if e == nil || !e.Exact {
 		t.Error("long-lived large flow lost exactness")
 	}

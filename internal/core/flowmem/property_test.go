@@ -20,9 +20,9 @@ func TestQuickCapacityInvariant(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1:
-				m.Insert(flow.Key{Lo: uint64(op % 64)}, uint64(rng.Intn(10000)))
+				insert(m, flow.Key{Lo: uint64(op % 64)}, uint64(rng.Intn(10000)))
 			case 2:
-				if e := m.Lookup(flow.Key{Lo: uint64(op % 64)}); e != nil {
+				if e := lookup(m, flow.Key{Lo: uint64(op % 64)}); e != nil {
 					e.Bytes += uint64(rng.Intn(5000))
 				}
 			case 3:
@@ -59,7 +59,7 @@ func TestQuickEndIntervalPolicy(t *testing.T) {
 		before := map[flow.Key]snap{}
 		for i := 0; i < 100; i++ {
 			k := flow.Key{Lo: uint64(i)}
-			e := m.Insert(k, uint64(rng.Intn(int(th*2))))
+			e := insert(m, k, uint64(rng.Intn(int(th*2))))
 			if i%3 == 0 {
 				e.CreatedThisInterval = false // simulate an older entry
 			}
@@ -67,7 +67,7 @@ func TestQuickEndIntervalPolicy(t *testing.T) {
 		}
 		m.EndInterval(Policy{Preserve: true, Threshold: th, EarlyRemoval: r})
 		for k, s := range before {
-			e := m.Lookup(k)
+			e := lookup(m, k)
 			shouldKeep := s.bytes >= th || (s.created && s.bytes >= r)
 			if shouldKeep != (e != nil) {
 				return false
@@ -155,13 +155,13 @@ func TestDifferentialVsMapModel(t *testing.T) {
 			switch op % 5 {
 			case 0, 1:
 				bytes := uint64(rng.Intn(10000))
-				got, want := m.Insert(k, bytes), ref.Insert(k, bytes)
+				got, want := insert(m, k, bytes), ref.Insert(k, bytes)
 				if (got == nil) != (want == nil) {
 					t.Logf("Insert(%v) disagreement", k)
 					return false
 				}
 			case 2:
-				got, want := m.Lookup(k), ref.Lookup(k)
+				got, want := lookup(m, k), ref.Lookup(k)
 				if (got == nil) != (want == nil) {
 					t.Logf("Lookup(%v) presence disagreement", k)
 					return false
@@ -225,12 +225,12 @@ func TestEntryPointerStability(t *testing.T) {
 	held := make(map[flow.Key]*Entry)
 	for i := 0; i < 128; i++ {
 		k := flow.Key{Lo: uint64(i * 13)}
-		if e := m.Insert(k, uint64(i)); e != nil {
+		if e := insert(m, k, uint64(i)); e != nil {
 			held[k] = e
 		}
 	}
 	for k, e := range held {
-		if got := m.Lookup(k); got != e {
+		if got := lookup(m, k); got != e {
 			t.Fatalf("Lookup(%v) moved: %p vs held %p", k, got, e)
 		}
 		if e.Key != k {
@@ -249,7 +249,7 @@ func TestQuickReportConservation(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			k := flow.Key{Lo: uint64(i)}
 			b := uint64(rng.Intn(100000))
-			if m.Insert(k, b) != nil {
+			if insert(m, k, b) != nil {
 				want[k] = b
 			}
 		}
@@ -319,9 +319,9 @@ func TestReportOrderMatchesComparator(t *testing.T) {
 		for interval := 0; interval < 3; interval++ {
 			for i := rng.Intn(capacity + 1); i > 0; i-- {
 				k := flow.Key{Hi: uint64(rng.Intn(4)), Lo: rng.Uint64() >> uint(rng.Intn(64))}
-				e := m.Lookup(k)
+				e := lookup(m, k)
 				if e == nil {
-					e = m.Insert(k, 0)
+					e = insert(m, k, 0)
 				}
 				if e != nil {
 					e.Bytes += counts[mix[rng.Intn(len(mix))]]()

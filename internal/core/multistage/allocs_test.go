@@ -35,13 +35,13 @@ func TestBatchScratchGrowOnly(t *testing.T) {
 				sizes[i] = 1000
 			}
 			// Warm the scratch with the largest batch once.
-			f.ProcessBatch(keys, sizes)
+			f.ProcessBatch(nil, keys, sizes)
 			mixed := []int{maxBatch, 7, 128, 1, 64, 255, 3, maxBatch, 31}
 			i := 0
 			allocs := testing.AllocsPerRun(500, func() {
 				n := mixed[i%len(mixed)]
 				i++
-				f.ProcessBatch(keys[:n], sizes[:n])
+				f.ProcessBatch(nil, keys[:n], sizes[:n])
 			})
 			if allocs != 0 {
 				t.Fatalf("mixed-size ProcessBatch allocates %.1f allocs/op, must be 0", allocs)
@@ -70,10 +70,10 @@ func TestAppendEstimatesZeroAllocs(t *testing.T) {
 	}
 	arena := make([]core.Estimate, 0, 256)
 	// Warm: one full interval cycle grows the report scratch.
-	f.ProcessBatch(keys, sizes)
+	f.ProcessBatch(nil, keys, sizes)
 	arena = f.AppendEstimates(arena[:0])
 	allocs := testing.AllocsPerRun(200, func() {
-		f.ProcessBatch(keys, sizes)
+		f.ProcessBatch(nil, keys, sizes)
 		arena = f.AppendEstimates(arena[:0])
 		if len(arena) != len(keys) {
 			t.Fatalf("short report: %d estimates", len(arena))

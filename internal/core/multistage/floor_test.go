@@ -33,6 +33,16 @@ func newRefFilter(cfg Config, f *Filter) *refFilter {
 	return r
 }
 
+// offsets returns the flat counter offsets key hashes to in f, one per
+// stage.
+func offsets(f *Filter, key flow.Key) []uint32 {
+	out := make([]uint32, f.cfg.Stages)
+	for st := range out {
+		out[st] = uint32(st)*f.buckets + uint32(f.BucketOf(st, key))
+	}
+	return out
+}
+
 // cells returns pointers to the counters key hashes to, one per stage.
 func (r *refFilter) cells(key flow.Key) []*uint64 {
 	out := make([]*uint64, r.cfg.Stages)
@@ -191,21 +201,30 @@ func runFloorDifferential(t *testing.T, cfg Config, f *Filter, intervals int) {
 				keys, sizes = append(keys, k), append(sizes, size)
 				ref.process(k, size)
 			}
-			f.ProcessBatch(keys, sizes)
+			f.ProcessBatch(nil, keys, sizes)
 			n += len(keys)
 		}
-		for st := 0; st < cfg.Stages; st++ {
-			for b := 0; b < cfg.Buckets; b++ {
-				if got, want := f.CounterValue(st, b), ref.counters[st][b]; got != want {
-					t.Fatalf("interval %d: counter (%d,%d) = %d, reference %d", iv, st, b, got, want)
-				}
+		requireMatchesRef(t, f, ref, iv)
+	}
+}
+
+// requireMatchesRef fails unless f's counters and its closing report for
+// interval iv equal the reference model's; it closes the interval in both
+// and returns the report.
+func requireMatchesRef(t *testing.T, f *Filter, ref *refFilter, iv int) []core.Estimate {
+	t.Helper()
+	for st := 0; st < ref.cfg.Stages; st++ {
+		for b := 0; b < ref.cfg.Buckets; b++ {
+			if got, want := f.CounterValue(st, b), ref.counters[st][b]; got != want {
+				t.Fatalf("interval %d: counter (%d,%d) = %d, reference %d", iv, st, b, got, want)
 			}
 		}
-		got, want := f.EndInterval(), ref.endInterval()
-		if !slices.Equal(got, want) {
-			t.Fatalf("interval %d: report of %d estimates differs from the reference's %d", iv, len(got), len(want))
-		}
 	}
+	got, want := f.EndInterval(), ref.endInterval()
+	if !slices.Equal(got, want) {
+		t.Fatalf("interval %d: report of %d estimates differs from the reference's %d", iv, len(got), len(want))
+	}
+	return got
 }
 
 // TestCounterFloorMatchesReference checks the interval floor against plain
@@ -246,7 +265,7 @@ func TestCounterSaturates(t *testing.T) {
 		}
 		f.base = maxBase
 		k := flow.Key{Lo: 3}
-		o := f.hashStages(k)[0]
+		o := offsets(f, k)[0]
 		f.counters[o] = f.base + counterCap - 100
 		f.Process(k, 1500)
 		if got := f.CounterValue(0, int(o)); got != counterCap {
@@ -279,7 +298,7 @@ func TestThresholdBoundedByCounterCap(t *testing.T) {
 	}
 	f.base = 7 * counterStride
 	k := flow.Key{Lo: 9}
-	for _, o := range f.hashStages(k) {
+	for _, o := range offsets(f, k) {
 		f.counters[o] = f.base + counterCap - 100
 	}
 	f.Process(k, 1500)

@@ -73,14 +73,6 @@ type Config struct {
 	Hash string
 	// Seed seeds the hash functions.
 	Seed int64
-	// PrefetchTiles is the fused batch kernel's prefetch distance in tiles
-	// of 32 packets: tile i+PrefetchTiles is hashed (its counter and flow
-	// memory lines pulled toward the caches) while tile i is being
-	// updated, so a table bigger than L2 hides its DRAM latency behind
-	// useful work. Zero selects DefaultPrefetchTiles; -1 disables the
-	// lookahead (each tile hashed immediately before its update — the
-	// right setting for tiny L1-resident tables); at most MaxPrefetchTiles.
-	PrefetchTiles int
 }
 
 // Validate checks the configuration.
@@ -105,9 +97,6 @@ func (c Config) Validate() error {
 	}
 	if c.Correction && c.Serial {
 		return cfgerr.New("multistage", "Correction", "only defined for parallel filters")
-	}
-	if c.PrefetchTiles < -1 || c.PrefetchTiles > MaxPrefetchTiles {
-		return cfgerr.New("multistage", "PrefetchTiles", "must be in [-1, %d], got %d", MaxPrefetchTiles, c.PrefetchTiles)
 	}
 	return nil
 }
@@ -137,52 +126,44 @@ type Filter struct {
 	// hash per packet (Kirsch–Mitzenmacher double hashing); nil for
 	// families that hash each stage separately.
 	deriver hashing.Deriver
-	// lookahead is the fused kernel's prefetch distance in tiles, resolved
-	// from Config.PrefetchTiles (0 after resolution means no lookahead).
-	lookahead int
-	cost      memmodel.Counter
-	tel       telemetry.Algorithm
+	cost    memmodel.Counter
+	tel     telemetry.Algorithm
 
 	// dropped counts flows that passed the filter but found the flow
 	// memory full; threshold adaptation keeps this near zero.
 	dropped uint64
 
-	// idx is scratch for the current packet's flat counter offsets, one
-	// per stage (stage base i·b already folded in).
-	idx []uint32
 	// batchIdx is grow-only scratch holding a whole batch's flat counter
 	// offsets, packet-major: packet j's d offsets are contiguous at
 	// j·d..j·d+d, so the per-packet counter logic reads one short run.
 	batchIdx []uint32
 	// batchHash is grow-only scratch holding each packet's flow memory
-	// probe hash, computed once in the fused kernel's hash phase and
-	// reused for prefetch, lookup and insert.
+	// probe hash, computed once in the kernel's hash phase and reused for
+	// prefetch, lookup and insert.
 	batchHash []uint64
-	// prefetchSink accumulates the counter values the fused kernel's hash
-	// phase loads to warm their cache lines, so the compiler cannot drop
-	// the loads as dead.
+	// prefetchSink accumulates the counter values the kernel's hash phase
+	// loads to warm their cache lines, so the compiler cannot drop the
+	// loads as dead.
 	prefetchSink uint64
+	// oneKey and oneSize hold Process's batch of one.
+	oneKey  [1]flow.Key
+	oneSize [1]uint32
 }
 
 // fusedTile is the number of packets per hash→prefetch→update tile of the
-// fused kernel. Small enough that a tile's working set — d counter lines
+// packet kernel. Small enough that a tile's working set — d counter lines
 // plus a flow memory line or two per packet — stays L1-resident between the
 // hash phase that pulls it in and the update phase that reuses it; large
 // enough that the hash phase keeps many independent misses in flight.
 const fusedTile = 32
 
-// DefaultPrefetchTiles is the fused kernel's default prefetch distance
-// (Config.PrefetchTiles zero): hash tile i+2 while updating tile i. The
-// cmd/experiments prefetch sweep across table sizes {L2-resident, 4×L2,
-// 64×L2} picks this as the all-around sweet spot — far enough ahead that a
-// DRAM-resident table's lines arrive before their update, near enough that
-// the prefetched lines are not evicted again under cache pressure.
-const DefaultPrefetchTiles = 2
-
-// MaxPrefetchTiles bounds the configurable prefetch distance: beyond 8
-// tiles (256 packets) the prefetched footprint itself starts thrashing L1
-// and the lookahead turns into cache pollution.
-const MaxPrefetchTiles = 8
+// lookaheadTiles is the kernel's prefetch distance: tile i+2 is hashed
+// while tile i is updated. The prefetch distance table in EXPERIMENTS.md,
+// measured across table sizes {L2-resident, 4×L2, 64×L2}, shows this as the
+// all-around sweet spot — far enough ahead that a DRAM-resident table's
+// lines arrive before their update, near enough that the prefetched lines
+// are not evicted again under cache pressure.
+const lookaheadTiles = 2
 
 // Interval floor constants. Within one interval a counter's value stays in
 // [0, counterCap] (writes saturate there), so every stored counter is below
@@ -217,7 +198,6 @@ func New(cfg Config) (*Filter, error) {
 		counters: make([]uint64, cfg.Stages*cfg.Buckets),
 		buckets:  uint32(cfg.Buckets),
 		hashes:   make([]hashing.Func, cfg.Stages),
-		idx:      make([]uint32, cfg.Stages),
 	}
 	f.tileHashers = make([]hashing.TileHasher, cfg.Stages)
 	for i := range f.hashes {
@@ -225,14 +205,6 @@ func New(cfg Config) (*Filter, error) {
 		f.tileHashers[i], _ = f.hashes[i].(hashing.TileHasher)
 	}
 	f.deriver = hashing.DeriverFor(f.hashes)
-	switch cfg.PrefetchTiles {
-	case 0:
-		f.lookahead = DefaultPrefetchTiles
-	case -1:
-		f.lookahead = 0
-	default:
-		f.lookahead = cfg.PrefetchTiles
-	}
 	f.tel.Init(f.Name(), capacity, cfg.Threshold)
 	return f, nil
 }
@@ -258,85 +230,26 @@ func (f *Filter) stageThreshold() uint64 {
 	return f.cfg.Threshold
 }
 
-// keyHash returns key's flow memory probe hash: the deriver's base hash
-// when one is active — so the fused hash phase computes ONE hash per packet
-// that serves both the filter stages and the flow memory — and
-// flowmem.Hash otherwise. Every flow memory operation of one Filter
-// instance uses this same function, so entries inserted by one processing
-// path are always found by the others.
-func (f *Filter) keyHash(key flow.Key) uint64 {
-	if f.deriver != nil {
-		return f.deriver.Base(key)
-	}
-	return flowmem.Hash(key)
-}
-
-// Process implements core.Algorithm.
+// Process implements core.Algorithm as a batch of one through ProcessBatch.
 func (f *Filter) Process(key flow.Key, size uint32) {
-	f.cost.Packet()
-	var fmh uint64
-	var idx []uint32
-	if f.deriver != nil {
-		// One base hash yields both the stage buckets and the flow memory
-		// probe hash, so hashing eagerly costs nothing extra.
-		idx = f.idx
-		fmh = f.deriver.DeriveBase(key, idx)
-		base := uint32(0)
-		for i := range idx {
-			idx[i] += base
-			base += f.buckets
-		}
-	} else {
-		// Stage hashing stays lazy: a shielded flow memory hit never
-		// consults the filter, so its stages are never hashed.
-		fmh = flowmem.Hash(key)
-	}
-	f.process(key, size, fmh, idx, &f.cost)
-	f.tel.Observe(1, uint64(size), f.cost, f.mem.Len())
+	f.oneKey[0], f.oneSize[0] = key, size
+	f.ProcessBatch(nil, f.oneKey[:], f.oneSize[:])
 }
 
-// ProcessBatch implements core.BatchAlgorithm with the fused single-pass
-// kernel: the batch streams through in tiles of fusedTile packets, each tile
-// running a hash phase — stage buckets and the flow memory probe hash
+// ProcessBatch implements core.BatchAlgorithm and is the filter's one packet
+// kernel, a single pass over the batch in tiles of fusedTile packets. Each
+// tile runs a hash phase — stage buckets and the flow memory probe hash
 // computed per packet, the counter lines and home flow memory slots warmed
-// with prefetching loads — software-pipelined ahead of an update phase that
-// runs the filter and flow memory logic against cache-resident lines. The
-// hash phase runs Config.PrefetchTiles tiles ahead of the update phase, so
-// with a DRAM-resident table the prefetching loads of tile i+k are in
-// flight while tile i's updates execute. Each packet's buckets and flow
-// slot are touched once per batch; the key is hashed once (the doublehash
-// deriver's base hash doubles as the flow memory probe hash).
-// Memory-reference accounting is accumulated locally and folded into the
-// filter's counter with a single Add.
-func (f *Filter) ProcessBatch(keys []flow.Key, sizes []uint32) {
-	f.processBatchFused(nil, keys, sizes)
-}
-
-// KeyHash implements core.HashBatchAlgorithm: the per-packet hash the
-// fused kernel probes the flow memory with. With a doublehash deriver that
-// is the deriver's base hash, not flowmem.Hash — upstream hash forwarding
-// keys off this distinction.
-func (f *Filter) KeyHash(k flow.Key) uint64 { return f.keyHash(k) }
-
-// ProcessBatchHash implements core.HashBatchAlgorithm: ProcessBatch with
-// the per-packet flow memory probe hashes supplied by the caller
-// (hashes[i] must equal KeyHash(keys[i])). The deriver path ignores the
-// supplied hashes — its base hash also yields the stage buckets, so it is
-// computed in the kernel regardless — and remains bit-identical to
-// ProcessBatch either way.
-func (f *Filter) ProcessBatchHash(hashes []uint64, keys []flow.Key, sizes []uint32) {
-	if f.deriver != nil {
-		f.processBatchFused(nil, keys, sizes)
-		return
-	}
-	f.processBatchFused(hashes, keys, sizes)
-}
-
-// processBatchFused is the fused kernel behind ProcessBatch and
-// ProcessBatchHash; ext, when non-nil, holds caller-computed flow memory
-// probe hashes (flowmem.Hash of each key) that the hash phase consumes
-// instead of rehashing.
-func (f *Filter) processBatchFused(ext []uint64, keys []flow.Key, sizes []uint32) {
+// with prefetching loads — software-pipelined lookaheadTiles tiles ahead of
+// an update phase that runs the filter and flow memory logic against
+// cache-resident lines, so with a DRAM-resident table the prefetching loads
+// of tile i+2 are in flight while tile i's updates execute. The key is
+// hashed once: the flow memory probe hash comes from hashes when the
+// caller supplies them, and with a doublehash deriver it is the deriver's
+// base hash — which also yields the stage buckets — so hashes is ignored
+// there. Memory-reference accounting is accumulated locally and folded into
+// the filter's counter with a single Add.
+func (f *Filter) ProcessBatch(hashes []uint64, keys []flow.Key, sizes []uint32) {
 	n := len(keys)
 	if n == 0 {
 		return
@@ -344,23 +257,21 @@ func (f *Filter) processBatchFused(ext []uint64, keys []flow.Key, sizes []uint32
 	d := len(f.hashes)
 	f.growScratch(n, d)
 	bidx := f.batchIdx[:n*d]
-	bh := f.batchHash[:n]
+	if f.deriver != nil {
+		hashes = nil
+	}
+	bh := hashes
+	if bh == nil {
+		bh = f.batchHash[:n]
+	}
 	var cost memmodel.Counter
 	cost.Packets = uint64(n)
 	var bytes uint64
-	// Software pipeline: hash (and prefetch) the first lookahead tiles,
-	// then keep the hash phase lookahead tiles ahead of the update phase.
-	ht := 0
-	for i := 0; i < f.lookahead && ht < n; i++ {
-		end := min(ht+fusedTile, n)
-		f.hashTile(ext, keys, bidx, bh, ht, end)
-		ht = end
-	}
+	ht := 0 // packets hashed so far
 	for t := 0; t < n; t += fusedTile {
-		if ht < n {
-			end := min(ht+fusedTile, n)
-			f.hashTile(ext, keys, bidx, bh, ht, end)
-			ht = end
+		// Keep the hash phase lookaheadTiles tiles ahead of this tile.
+		for ; ht < n && ht < t+(lookaheadTiles+1)*fusedTile; ht += fusedTile {
+			f.hashTile(hashes, keys, bidx, bh, ht, min(ht+fusedTile, n))
 		}
 		end := min(t+fusedTile, n)
 		for j := t; j < end; j++ {
@@ -384,16 +295,15 @@ func (f *Filter) growScratch(n, d int) {
 	}
 }
 
-// / hashTile runs the fused kernel's hash phase over the packets in [lo, hi):
-// it fills each packet's flat counter offsets (bidx, packet-major with
-// stride d) and flow memory probe hash (bh), and issues the prefetching
-// loads that pull the counter lines and home flow memory slots toward the
-// cache while the update phase is still lookahead tiles behind. The loads
-// are independent, so their misses overlap — the memory-level parallelism a
-// one-packet-at-a-time pass cannot reach. ext, when non-nil, supplies the
-// flow memory probe hashes (flowmem.Hash per key) already computed by the
-// caller.
-func (f *Filter) hashTile(ext []uint64, keys []flow.Key, bidx []uint32, bh []uint64, lo, hi int) {
+// hashTile runs the kernel's hash phase over the packets in [lo, hi): it
+// fills each packet's flat counter offsets (bidx, packet-major with stride
+// d) and flow memory probe hash (bh), and issues the prefetching loads that
+// pull the counter lines and home flow memory slots toward the cache while
+// the update phase is still lookaheadTiles tiles behind. The loads are
+// independent, so their misses overlap — the memory-level parallelism a
+// one-packet-at-a-time pass cannot reach. hashes, when non-nil, supplies
+// the flow memory probe hashes (flowmem.Hash per key; bh is then hashes).
+func (f *Filter) hashTile(hashes []uint64, keys []flow.Key, bidx []uint32, bh []uint64, lo, hi int) {
 	d := len(f.hashes)
 	counters := f.counters
 	var sink uint64
@@ -433,10 +343,9 @@ func (f *Filter) hashTile(ext []uint64, keys []flow.Key, bidx []uint32, bh []uin
 				sink += counters[bidx[j*d+i]]
 			}
 		}
-		if ext != nil {
+		if hashes != nil {
 			for j := lo; j < hi; j++ {
-				bh[j] = ext[j]
-				f.mem.Prefetch(ext[j])
+				f.mem.Prefetch(hashes[j])
 			}
 		} else {
 			for j := lo; j < hi; j++ {
@@ -449,54 +358,9 @@ func (f *Filter) hashTile(ext []uint64, keys []flow.Key, bidx []uint32, bh []uin
 	f.prefetchSink += sink
 }
 
-// ProcessBatchUnfused is the pre-fusion batch kernel, kept as the reference
-// implementation for differential tests and before/after benchmarks: a hash
-// pass over the whole batch filling the flat counter offsets, then a second
-// sweep running the filter and flow memory logic per packet — two passes
-// over the batch, no prefetch, the flow memory hashed in the update sweep.
-// It must produce reports bit-identical to ProcessBatch.
-func (f *Filter) ProcessBatchUnfused(keys []flow.Key, sizes []uint32) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	d := len(f.hashes)
-	f.growScratch(n, d)
-	bidx := f.batchIdx[:n*d]
-	if f.deriver != nil {
-		for j, k := range keys {
-			row := bidx[j*d : j*d+d]
-			f.deriver.Derive(k, row)
-			base := uint32(0)
-			for i := range row {
-				row[i] += base
-				base += f.buckets
-			}
-		}
-	} else {
-		base := uint32(0)
-		for i, h := range f.hashes {
-			for j, k := range keys {
-				bidx[j*d+i] = base + h.Bucket(k)
-			}
-			base += f.buckets
-		}
-	}
-	var cost memmodel.Counter
-	cost.Packets = uint64(n)
-	var bytes uint64
-	for j, k := range keys {
-		bytes += uint64(sizes[j])
-		f.process(k, sizes[j], f.keyHash(k), bidx[j*d:j*d+d], &cost)
-	}
-	f.cost.Add(cost)
-	f.tel.Observe(uint64(n), bytes, f.cost, f.mem.Len())
-}
-
-// process handles one packet. fmh is the packet's flow memory probe hash
-// (always precomputed — the key is hashed exactly once per packet). idx,
-// when non-nil, holds the packet's flat counter offsets; otherwise they are
-// computed on demand, and only when the filter is actually consulted.
+// process is the kernel's update phase for one packet. fmh is the packet's
+// flow memory probe hash and idx its flat counter offsets, both computed by
+// the hash phase.
 func (f *Filter) process(key flow.Key, size uint32, fmh uint64, idx []uint32, cost *memmodel.Counter) {
 	cost.SRAM(1, 0) // flow memory lookup
 	if e := f.mem.LookupHash(fmh, key); e != nil {
@@ -506,42 +370,15 @@ func (f *Filter) process(key flow.Key, size uint32, fmh uint64, idx []uint32, co
 			// Without shielding, tracked flows keep pushing the filter
 			// counters up (they can no longer cause false negatives, only
 			// help other flows' false positives — shielding removes that).
-			if idx == nil {
-				idx = f.hashStages(key)
-			}
 			f.updateCounters(idx, size, cost)
 		}
 		return
-	}
-	if idx == nil {
-		idx = f.hashStages(key)
 	}
 	if f.cfg.Serial {
 		f.processSerial(key, size, fmh, idx, cost)
 		return
 	}
 	f.processParallel(key, size, fmh, idx, cost)
-}
-
-// hashStages fills f.idx with key's flat counter offset at every stage and
-// returns it.
-func (f *Filter) hashStages(key flow.Key) []uint32 {
-	idx := f.idx
-	if f.deriver != nil {
-		f.deriver.Derive(key, idx)
-		base := uint32(0)
-		for i := range idx {
-			idx[i] += base
-			base += f.buckets
-		}
-		return idx
-	}
-	base := uint32(0)
-	for i, h := range f.hashes {
-		idx[i] = base + h.Bucket(key)
-		base += f.buckets
-	}
-	return idx
 }
 
 // scanMin reads the counter at every offset in idx and returns the

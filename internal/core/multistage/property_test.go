@@ -16,20 +16,34 @@ type workload struct {
 	FlowBits uint8
 }
 
-func (w workload) generate() []struct {
-	key  flow.Key
-	size uint32
-} {
+func (w workload) generate() ([]flow.Key, []uint32) {
 	rng := rand.New(rand.NewSource(w.Seed))
 	n := 1000 + int(uint(w.Packets)%9000)
 	mask := uint64(1)<<(3+w.FlowBits%7) - 1 // 8..511 distinct flows
-	out := make([]struct {
-		key  flow.Key
-		size uint32
-	}, n)
-	for i := range out {
-		out[i].key = flow.Key{Lo: rng.Uint64() & mask}
-		out[i].size = uint32(rng.Intn(1460) + 40)
+	keys := make([]flow.Key, n)
+	sizes := make([]uint32, n)
+	for i := range keys {
+		keys[i] = flow.Key{Lo: rng.Uint64() & mask}
+		sizes[i] = uint32(rng.Intn(1460) + 40)
+	}
+	return keys, sizes
+}
+
+// quickBatch maps a quick-generated flag to the batch size a property runs
+// at: single packets through Process, or batches of 64 through
+// ProcessBatch.
+func quickBatch(batched bool) int {
+	if batched {
+		return 64
+	}
+	return 1
+}
+
+// truth sums each flow's bytes.
+func truth(keys []flow.Key, sizes []uint32) map[flow.Key]uint64 {
+	out := map[flow.Key]uint64{}
+	for i, k := range keys {
+		out[k] += uint64(sizes[i])
 	}
 	return out
 }
@@ -38,7 +52,7 @@ func (w workload) generate() []struct {
 // testing/quick: for random workloads, random (small) filter shapes and
 // both update rules, every flow at or above the threshold is reported.
 func TestQuickNoFalseNegatives(t *testing.T) {
-	check := func(w workload, stages, buckets uint8, conservative, serial, shield bool) bool {
+	check := func(w workload, stages, buckets uint8, conservative, serial, shield, batched bool) bool {
 		cfg := Config{
 			Stages:       1 + int(stages%4),
 			Buckets:      8 + int(buckets)%120,
@@ -53,16 +67,13 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		truth := map[flow.Key]uint64{}
-		for _, p := range w.generate() {
-			truth[p.key] += uint64(p.size)
-			f.Process(p.key, p.size)
-		}
+		keys, sizes := w.generate()
+		driveKernel(f, keys, sizes, quickBatch(batched), false)
 		reported := map[flow.Key]bool{}
 		for _, e := range f.EndInterval() {
 			reported[e.Key] = true
 		}
-		for k, bytes := range truth {
+		for k, bytes := range truth(keys, sizes) {
 			if bytes >= cfg.Threshold && !reported[k] {
 				return false
 			}
@@ -77,7 +88,7 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 // TestQuickEstimatesLowerBound: reported bytes never exceed the truth, for
 // any variant and workload.
 func TestQuickEstimatesLowerBound(t *testing.T) {
-	check := func(w workload, conservative, serial bool) bool {
+	check := func(w workload, conservative, serial, batched bool) bool {
 		f, err := New(Config{
 			Stages:       3,
 			Buckets:      64,
@@ -90,13 +101,11 @@ func TestQuickEstimatesLowerBound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		truth := map[flow.Key]uint64{}
-		for _, p := range w.generate() {
-			truth[p.key] += uint64(p.size)
-			f.Process(p.key, p.size)
-		}
+		keys, sizes := w.generate()
+		driveKernel(f, keys, sizes, quickBatch(batched), false)
+		sums := truth(keys, sizes)
 		for _, e := range f.EndInterval() {
-			if e.Bytes > truth[e.Key] {
+			if e.Bytes > sums[e.Key] {
 				return false
 			}
 		}
@@ -110,7 +119,7 @@ func TestQuickEstimatesLowerBound(t *testing.T) {
 // TestQuickCountersMonotone: stage counters never decrease within an
 // interval, under either update rule.
 func TestQuickCountersMonotone(t *testing.T) {
-	check := func(w workload, conservative bool) bool {
+	check := func(w workload, conservative, batched bool) bool {
 		f, err := New(Config{
 			Stages:       2,
 			Buckets:      32,
@@ -126,8 +135,11 @@ func TestQuickCountersMonotone(t *testing.T) {
 		for i := range prev {
 			prev[i] = make([]uint64, 32)
 		}
-		for _, p := range w.generate() {
-			f.Process(p.key, p.size)
+		keys, sizes := w.generate()
+		bs := quickBatch(batched)
+		for i := 0; i < len(keys); i += bs {
+			end := min(i+bs, len(keys))
+			driveKernel(f, keys[i:end], sizes[i:end], bs, false)
 			for st := 0; st < 2; st++ {
 				for b := 0; b < 32; b++ {
 					v := f.CounterValue(st, b)
@@ -148,7 +160,7 @@ func TestQuickCountersMonotone(t *testing.T) {
 // TestQuickConservativeDominatedByClassic: under identical seeds and
 // workloads, conservative counters never exceed classic ones.
 func TestQuickConservativeDominatedByClassic(t *testing.T) {
-	check := func(w workload) bool {
+	check := func(w workload, batched bool) bool {
 		mk := func(conservative bool) *Filter {
 			f, err := New(Config{
 				Stages: 3, Buckets: 64, Entries: 1 << 20,
@@ -160,10 +172,9 @@ func TestQuickConservativeDominatedByClassic(t *testing.T) {
 			return f
 		}
 		classic, cons := mk(false), mk(true)
-		for _, p := range w.generate() {
-			classic.Process(p.key, p.size)
-			cons.Process(p.key, p.size)
-		}
+		keys, sizes := w.generate()
+		driveKernel(classic, keys, sizes, quickBatch(batched), false)
+		driveKernel(cons, keys, sizes, quickBatch(batched), false)
 		for st := 0; st < 3; st++ {
 			for b := 0; b < 64; b++ {
 				if cons.CounterValue(st, b) > classic.CounterValue(st, b) {

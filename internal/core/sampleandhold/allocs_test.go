@@ -28,13 +28,13 @@ func TestBatchScratchGrowOnly(t *testing.T) {
 		sizes[i] = 1000
 	}
 	// Warm the scratch with the largest batch once.
-	s.ProcessBatch(keys, sizes)
+	s.ProcessBatch(nil, keys, sizes)
 	mixed := []int{maxBatch, 7, 128, 1, 64, 255, 3, maxBatch, 31}
 	i := 0
 	allocs := testing.AllocsPerRun(500, func() {
 		n := mixed[i%len(mixed)]
 		i++
-		s.ProcessBatch(keys[:n], sizes[:n])
+		s.ProcessBatch(nil, keys[:n], sizes[:n])
 	})
 	if allocs != 0 {
 		t.Fatalf("mixed-size ProcessBatch allocates %.1f allocs/op, must be 0", allocs)
@@ -59,10 +59,10 @@ func TestAppendEstimatesZeroAllocs(t *testing.T) {
 	}
 	arena := make([]core.Estimate, 0, 256)
 	// Warm: one full interval cycle grows the report scratch.
-	s.ProcessBatch(keys, sizes)
+	s.ProcessBatch(nil, keys, sizes)
 	arena = s.AppendEstimates(arena[:0])
 	allocs := testing.AllocsPerRun(200, func() {
-		s.ProcessBatch(keys, sizes)
+		s.ProcessBatch(nil, keys, sizes)
 		arena = s.AppendEstimates(arena[:0])
 		if len(arena) != len(keys) {
 			t.Fatalf("short report: %d estimates", len(arena))
@@ -70,5 +70,27 @@ func TestAppendEstimatesZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm interval cycle allocates %.1f allocs/op, must be 0", allocs)
+	}
+}
+
+// TestPerPacketZeroAllocs guards Process, a batch of one over
+// struct-owned scratch: neither the scratch nor the kernel's hash buffer
+// may escape or grow per call. p is 1/1024 per byte, so a 1000-byte packet
+// of an untracked flow is sampled about 60 % of the time: hits, misses and
+// inserts are all on the measured path.
+func TestPerPacketZeroAllocs(t *testing.T) {
+	s, err := New(Config{Entries: 8192, Threshold: 1 << 20, Oversampling: 1 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k flow.Key
+	i := 0
+	allocs := testing.AllocsPerRun(5000, func() {
+		k.Lo = uint64(i % 4096)
+		i++
+		s.Process(k, 1000)
+	})
+	if allocs != 0 {
+		t.Fatalf("Process allocates %.1f allocs/op, must be 0", allocs)
 	}
 }

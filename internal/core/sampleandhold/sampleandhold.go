@@ -52,14 +52,6 @@ type Config struct {
 	// estimate (Section 4.1.1). It reduces the expected error but forfeits
 	// the lower-bound property that makes estimates safe for billing.
 	Correction bool
-	// PrefetchTiles is the fused kernel's software-pipeline depth: the hash
-	// phase (and its prefetching loads) runs this many tiles ahead of the
-	// update phase, hiding table misses behind useful work when the flow
-	// memory outgrows cache. 0 selects DefaultPrefetchTiles, -1 disables the
-	// lookahead (hash and update the same tile back to back), and values up
-	// to MaxPrefetchTiles pipeline deeper. Any setting is bit-identical to
-	// any other; only memory-latency overlap changes.
-	PrefetchTiles int
 	// Seed seeds the sampling randomness.
 	Seed int64
 }
@@ -81,9 +73,6 @@ func (c Config) Validate() error {
 	if c.EarlyRemoval < 0 || c.EarlyRemoval >= 1 {
 		return cfgerr.New("sampleandhold", "EarlyRemoval", "%g out of [0, 1)", c.EarlyRemoval)
 	}
-	if c.PrefetchTiles < -1 || c.PrefetchTiles > MaxPrefetchTiles {
-		return cfgerr.New("sampleandhold", "PrefetchTiles", "%d out of [-1, %d]", c.PrefetchTiles, MaxPrefetchTiles)
-	}
 	return nil
 }
 
@@ -99,32 +88,26 @@ type SampleAndHold struct {
 	skip int64   // bytes of untracked traffic until the next sample
 
 	// batchHash is grow-only scratch holding each packet's flow memory
-	// probe hash, computed once in the fused kernel's hash phase and
-	// reused for prefetch, lookup and insert.
+	// probe hash, computed once in the kernel's hash phase and reused for
+	// prefetch, lookup and insert.
 	batchHash []uint64
-	// lookahead is the resolved software-pipeline depth in tiles (from
-	// Config.PrefetchTiles).
-	lookahead int
+	// oneKey and oneSize hold Process's batch of one.
+	oneKey  [1]flow.Key
+	oneSize [1]uint32
 }
 
 // fusedTile is the number of packets per hash→prefetch→update tile of the
-// fused ProcessBatch kernel: small enough that the tile's flow memory lines
-// stay L1-resident between the hash phase and the update phase, large
-// enough that the hash phase keeps many independent misses in flight.
+// ProcessBatch kernel: small enough that the tile's flow memory lines stay
+// L1-resident between the hash phase and the update phase, large enough
+// that the hash phase keeps many independent misses in flight.
 const fusedTile = 32
 
-// DefaultPrefetchTiles is the software-pipeline depth used when
-// Config.PrefetchTiles is zero: the hash phase runs two tiles (2×fusedTile
-// packets) ahead of the update phase — deep enough to cover a DRAM miss
-// issued at hash time with a full tile of update work, shallow enough that
-// the in-flight tiles' lines survive in L1/L2. Chosen by the prefetch
-// distance sweep in EXPERIMENTS.md.
-const DefaultPrefetchTiles = 2
-
-// MaxPrefetchTiles bounds Config.PrefetchTiles; beyond this depth the
-// prefetched lines start being evicted before the update phase reaches
-// them, so deeper pipelines only waste bandwidth.
-const MaxPrefetchTiles = 8
+// lookaheadTiles is the kernel's software-pipeline depth: the hash phase
+// runs two tiles (2×fusedTile packets) ahead of the update phase — deep
+// enough to cover a DRAM miss issued at hash time with a full tile of
+// update work, shallow enough that the in-flight tiles' lines survive in
+// L1/L2 (the prefetch distance table in EXPERIMENTS.md).
+const lookaheadTiles = 2
 
 // New creates a sample-and-hold instance.
 func New(cfg Config) (*SampleAndHold, error) {
@@ -142,14 +125,6 @@ func New(cfg Config) (*SampleAndHold, error) {
 	}
 	s.setProbability()
 	s.skip = s.nextSkip()
-	switch cfg.PrefetchTiles {
-	case 0:
-		s.lookahead = DefaultPrefetchTiles
-	case -1:
-		s.lookahead = 0
-	default:
-		s.lookahead = cfg.PrefetchTiles
-	}
 	s.tel.Init(s.Name(), capacity, cfg.Threshold)
 	return s, nil
 }
@@ -181,104 +156,40 @@ func (s *SampleAndHold) nextSkip() int64 {
 // Name implements core.Algorithm.
 func (s *SampleAndHold) Name() string { return "sample-and-hold" }
 
-// Process implements core.Algorithm. Every packet costs one flow memory
-// lookup; packets of tracked flows cost one additional write.
+// Process implements core.Algorithm as a batch of one through ProcessBatch.
 func (s *SampleAndHold) Process(key flow.Key, size uint32) {
-	s.cost.Packet()
-	s.cost.SRAM(1, 0) // flow memory lookup
-	s.processOne(key, size)
-	s.tel.Observe(1, uint64(size), s.cost, s.mem.Len())
+	s.oneKey[0], s.oneSize[0] = key, size
+	s.ProcessBatch(nil, s.oneKey[:], s.oneSize[:])
 }
 
-func (s *SampleAndHold) processOne(key flow.Key, size uint32) {
-	if e := s.mem.Lookup(key); e != nil {
-		e.Bytes += uint64(size)
-		s.cost.SRAM(0, 1)
-		return
-	}
-	// Untracked flow: its bytes consume the sampling skip.
-	s.skip -= int64(size)
-	if s.skip > 0 {
-		return
-	}
-	s.skip = s.nextSkip()
-	// Sampled. Count the whole packet: the bytes before the sampled byte
-	// belong to the same packet and are known (the paper notes this makes
-	// the real algorithm slightly more accurate than the analysis).
-	if s.mem.Insert(key, uint64(size)) != nil {
-		s.cost.SRAM(0, 1)
-		s.tel.FilterPass()
-	} else {
-		s.tel.Drop()
-	}
-}
-
-// ProcessBatch implements core.BatchAlgorithm with the fused kernel: the
-// batch streams through in tiles of fusedTile packets, a hash phase
-// computing each packet's flow memory probe hash once and warming its home
-// slot's cache lines with prefetching loads, software-pipelined
-// Config.PrefetchTiles tiles ahead of an update phase running the
-// lookup/sample/insert logic against cache-resident lines with the skip
-// state held in a register. The memory-reference accounting for the whole
-// batch is folded into the cost counter with a single Add, and the sampling
-// draws consume the RNG in exactly the order the per-packet path would, so
-// the two paths produce identical estimates.
-func (s *SampleAndHold) ProcessBatch(keys []flow.Key, sizes []uint32) {
-	s.processBatchFused(nil, keys, sizes)
-}
-
-// KeyHash implements core.HashBatchAlgorithm: the fused kernel probes the
-// flow memory with flowmem.Hash, so upstream hash forwarding applies.
-func (s *SampleAndHold) KeyHash(k flow.Key) uint64 { return flowmem.Hash(k) }
-
-// ProcessBatchHash implements core.HashBatchAlgorithm: ProcessBatch with
-// the per-packet flow memory probe hashes supplied by the caller
-// (hashes[i] must equal KeyHash(keys[i])).
-func (s *SampleAndHold) ProcessBatchHash(hashes []uint64, keys []flow.Key, sizes []uint32) {
-	s.processBatchFused(hashes, keys, sizes)
-}
-
-// hashAHTile fills bh for the packets in [lo, hi) — from ext when the
-// caller already computed the hashes, otherwise by hashing — and issues the
-// prefetching loads for their home flow memory slots.
-func (s *SampleAndHold) hashAHTile(ext []uint64, keys []flow.Key, bh []uint64, lo, hi int) {
-	if ext != nil {
-		for j := lo; j < hi; j++ {
-			bh[j] = ext[j]
-			s.mem.Prefetch(ext[j])
-		}
-		return
-	}
-	for j := lo; j < hi; j++ {
-		h := flowmem.Hash(keys[j])
-		bh[j] = h
-		s.mem.Prefetch(h)
-	}
-}
-
-// processBatchFused is the fused kernel behind ProcessBatch and
-// ProcessBatchHash; ext, when non-nil, holds caller-computed probe hashes.
-func (s *SampleAndHold) processBatchFused(ext []uint64, keys []flow.Key, sizes []uint32) {
+// ProcessBatch implements core.BatchAlgorithm and is the algorithm's one
+// packet kernel. Every packet costs one flow memory lookup; packets of
+// tracked flows, and sampled packets that get an entry, cost one write.
+// The batch streams through in tiles of fusedTile packets: a hash phase
+// takes each packet's flow memory probe hash (from hashes, or computed
+// once) and warms its home slot's cache lines with prefetching loads,
+// software-pipelined lookaheadTiles tiles ahead of an update phase running
+// the lookup/sample/insert logic against cache-resident lines with the
+// skip state held in a register. The sampling draws consume the RNG in
+// packet order, so any batching of a stream yields the same estimates, and
+// the batch's memory-reference accounting is folded into the cost counter
+// with a single Add.
+func (s *SampleAndHold) ProcessBatch(hashes []uint64, keys []flow.Key, sizes []uint32) {
 	n := len(keys)
-	if cap(s.batchHash) < n {
-		s.batchHash = make([]uint64, n)
+	bh := hashes
+	if bh == nil {
+		if cap(s.batchHash) < n {
+			s.batchHash = make([]uint64, n)
+		}
+		bh = s.batchHash[:n]
 	}
-	bh := s.batchHash[:n]
 	var reads, writes, bytes, passes uint64
 	skip := s.skip
-	// Software pipeline: hash (and prefetch) the first lookahead tiles,
-	// then keep the hash phase lookahead tiles ahead of the update phase.
-	ht := 0
-	for i := 0; i < s.lookahead && ht < n; i++ {
-		end := min(ht+fusedTile, n)
-		s.hashAHTile(ext, keys, bh, ht, end)
-		ht = end
-	}
+	ht := 0 // packets hashed so far
 	for t := 0; t < n; t += fusedTile {
-		if ht < n {
-			end := min(ht+fusedTile, n)
-			s.hashAHTile(ext, keys, bh, ht, end)
-			ht = end
+		// Keep the hash phase lookaheadTiles tiles ahead of this tile.
+		for ; ht < n && ht < t+(lookaheadTiles+1)*fusedTile; ht += fusedTile {
+			s.hashTile(hashes, keys, bh, ht, min(ht+fusedTile, n))
 		}
 		end := min(t+fusedTile, n)
 		for j := t; j < end; j++ {
@@ -297,6 +208,10 @@ func (s *SampleAndHold) processBatchFused(ext []uint64, keys []flow.Key, sizes [
 				continue
 			}
 			skip = s.nextSkip()
+			// Sampled. Count the whole packet: the bytes before the sampled
+			// byte belong to the same packet and are known (the paper notes
+			// this makes the real algorithm slightly more accurate than the
+			// analysis).
 			if s.mem.InsertHash(bh[j], key, uint64(size)) != nil {
 				writes++
 				passes++
@@ -315,43 +230,22 @@ func (s *SampleAndHold) processBatchFused(ext []uint64, keys []flow.Key, sizes [
 	s.tel.Observe(uint64(n), bytes, s.cost, s.mem.Len())
 }
 
-// ProcessBatchUnfused is the pre-fusion batch kernel, kept as the reference
-// implementation for differential tests and before/after benchmarks: one
-// sweep, each packet hashed at its lookup (and hashed again on insert), no
-// prefetch. It must produce reports bit-identical to ProcessBatch.
-func (s *SampleAndHold) ProcessBatchUnfused(keys []flow.Key, sizes []uint32) {
-	var reads, writes, bytes, passes uint64
-	skip := s.skip
-	for i, key := range keys {
-		size := sizes[i]
-		bytes += uint64(size)
-		reads++ // flow memory lookup
-		if e := s.mem.Lookup(key); e != nil {
-			e.Bytes += uint64(size)
-			writes++
-			continue
+// hashTile is the kernel's hash phase for the packets in [lo, hi): it
+// computes their probe hashes into bh unless the caller supplied them
+// (hashes non-nil, and then bh is hashes), and issues the prefetching loads
+// for their home flow memory slots.
+func (s *SampleAndHold) hashTile(hashes []uint64, keys []flow.Key, bh []uint64, lo, hi int) {
+	if hashes != nil {
+		for j := lo; j < hi; j++ {
+			s.mem.Prefetch(hashes[j])
 		}
-		// Untracked flow: its bytes consume the sampling skip.
-		skip -= int64(size)
-		if skip > 0 {
-			continue
-		}
-		skip = s.nextSkip()
-		if s.mem.Insert(key, uint64(size)) != nil {
-			writes++
-			passes++
-		} else {
-			s.tel.Drop()
-		}
+		return
 	}
-	s.skip = skip
-	s.cost.Add(memmodel.Counter{
-		SRAMReads: reads, SRAMWrites: writes, Packets: uint64(len(keys)),
-	})
-	if passes != 0 {
-		s.tel.FilterPasses(passes)
+	for j := lo; j < hi; j++ {
+		h := flowmem.Hash(keys[j])
+		bh[j] = h
+		s.mem.Prefetch(h)
 	}
-	s.tel.Observe(uint64(len(keys)), bytes, s.cost, s.mem.Len())
 }
 
 // EndInterval implements core.Algorithm.

@@ -54,7 +54,7 @@ func Truncate(data []byte, frac float64) []byte {
 // injects nothing.
 type Schedule struct {
 	// PanicAtPacket, when non-zero, panics while processing the Nth packet
-	// (1-based, counted across Process and ProcessBatch).
+	// (1-based).
 	PanicAtPacket uint64
 	// PanicAtInterval, when non-zero, panics in the Nth EndInterval call
 	// (1-based).
@@ -71,9 +71,9 @@ type Schedule struct {
 	CorruptEveryEstimates int
 }
 
-// Algorithm wraps a core.Algorithm with fault injection. It implements
-// core.BatchAlgorithm so it slots into the pipeline's batched path; the
-// batch is processed packet by packet so PanicAtPacket is exact.
+// Algorithm wraps a core.Algorithm with fault injection. It has no batch
+// kernel, so core.ProcessBatch feeds it packet by packet and PanicAtPacket
+// is exact within a batch.
 type Algorithm struct {
 	inner core.Algorithm
 	sched Schedule
@@ -108,15 +108,6 @@ func (a *Algorithm) step() {
 func (a *Algorithm) Process(key flow.Key, size uint32) {
 	a.step()
 	a.inner.Process(key, size)
-}
-
-// ProcessBatch implements core.BatchAlgorithm, packet by packet so the
-// panic schedule is exact within a batch.
-func (a *Algorithm) ProcessBatch(keys []flow.Key, sizes []uint32) {
-	for i, k := range keys {
-		a.step()
-		a.inner.Process(k, sizes[i])
-	}
 }
 
 // EndInterval implements core.Algorithm.

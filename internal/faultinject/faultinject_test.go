@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/core/sampleandhold"
 	"repro/internal/flow"
 )
@@ -45,7 +46,7 @@ func TestPanicAtPacketInsideBatch(t *testing.T) {
 			t.Fatalf("inner processed %d packets before panic, want 2", got)
 		}
 	}()
-	a.ProcessBatch(keys, sizes)
+	core.ProcessBatch(a, nil, keys, sizes)
 }
 
 func TestPanicAtInterval(t *testing.T) {

@@ -247,18 +247,13 @@ type TileHasher interface {
 // — the fast path for hash families whose functions are derived from a
 // shared base.
 type Deriver interface {
-	// Derive fills out[j] with the same bucket the j-th underlying function's
-	// Bucket(k) would return. len(out) must equal the function count the
-	// Deriver was built for.
-	Derive(k flow.Key, out []uint32)
-	// DeriveBase is Derive plus the 64-bit base hash the buckets were
-	// derived from. Callers that keep a hash table next to the filter (the
-	// flow memory) reuse the base as that table's probe hash, so one hash
-	// computation per packet serves both structures.
+	// DeriveBase fills out[j] with the same bucket the j-th underlying
+	// function's Bucket(k) would return and returns the 64-bit base hash
+	// the buckets were derived from. len(out) must equal the function count
+	// the Deriver was built for. Callers that keep a hash table next to the
+	// filter (the flow memory) reuse the base as that table's probe hash,
+	// so one hash computation per packet serves both structures.
 	DeriveBase(k flow.Key, out []uint32) uint64
-	// Base returns just the base hash for k — the same value DeriveBase
-	// returns — for paths that do not need the buckets.
-	Base(k flow.Key) uint64
 }
 
 // DeriverFor returns a Deriver equivalent to calling Bucket on each of funcs
@@ -290,10 +285,6 @@ type dhDeriver struct {
 	buckets uint32
 }
 
-func (d *dhDeriver) Derive(k flow.Key, out []uint32) {
-	d.DeriveBase(k, out)
-}
-
 func (d *dhDeriver) DeriveBase(k flow.Key, out []uint32) uint64 {
 	h1, h2 := d.base.hash(k)
 	h := h1 + d.i0*h2
@@ -301,11 +292,6 @@ func (d *dhDeriver) DeriveBase(k flow.Key, out []uint32) uint64 {
 		out[j] = reduce(h, d.buckets)
 		h += h2
 	}
-	return h1
-}
-
-func (d *dhDeriver) Base(k flow.Key) uint64 {
-	h1, _ := d.base.hash(k)
 	return h1
 }
 

@@ -145,10 +145,10 @@ func TestDeriverMatchesBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 10000; i++ {
 		k := flow.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
-		d.Derive(k, out)
+		d.DeriveBase(k, out)
 		for j, fn := range funcs {
 			if got := fn.Bucket(k); got != out[j] {
-				t.Fatalf("stage %d: Derive gave %d, Bucket gave %d", j, out[j], got)
+				t.Fatalf("stage %d: DeriveBase gave %d, Bucket gave %d", j, out[j], got)
 			}
 		}
 	}
@@ -265,7 +265,7 @@ func BenchmarkDoubleHashDerive4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k.Lo++
-		d.Derive(k, out)
+		d.DeriveBase(k, out)
 	}
 }
 

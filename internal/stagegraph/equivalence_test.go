@@ -206,8 +206,9 @@ func TestShardedRestartMidStreamMatchesReference(t *testing.T) {
 // interval reports and matching telemetry totals to the independent
 // reference model, across 3 hash families × batch sizes {1, 64, 1024} ×
 // shard counts {1, 2, 4, 8}. The hash families deliberately straddle the
-// hash-forwarding split: tabulation and multiplyshift lanes reuse the
-// producer's shard hash, doublehash lanes (deriver-based KeyHash) do not.
+// hash-forwarding split: multi-shard tabulation and multiplyshift lanes
+// probe their flow memory with the producer's shard hash, doublehash lanes
+// ignore it and probe with their deriver's base hash.
 // Run under -race in CI.
 func TestPresetGraphMatchesReferenceModel(t *testing.T) {
 	pkts := equivTrace(30000)

@@ -15,10 +15,10 @@
 // second, reverse-direction SPSC ring per lane, so the steady-state packet
 // loop allocates nothing. A multi-shard burst is first partitioned into
 // per-shard sub-batches in grow-only scratch — the shard is picked from the
-// same per-packet key hash the lanes' fused kernels probe their flow memory
-// with, so sharding adds one cheap remix per packet instead of a second
-// hash pass, and the hashes ride along with the batch for lanes that can
-// consume them (core.HashBatchAlgorithm). Partial batches are flushed at
+// same per-packet key hash (flowmem.Hash) the lanes' kernels probe their
+// flow memory with, so sharding adds one cheap remix per packet instead of a
+// second hash pass, and the hashes ride along with the batch into
+// core.ProcessBatch. Partial batches are flushed at
 // interval boundaries, so merged reports are bit-identical to an unbatched
 // run.
 //
@@ -193,9 +193,10 @@ func shardOf(h uint64, shards uint32) int {
 	return int((h >> 32) * uint64(shards) >> 32)
 }
 
-// batch is one lane's burst of packets, ready for core.ProcessBatch. When
-// the engine forwards key hashes (see Measure.forwardHashes), hashes[i]
-// carries flowmem.Hash(keys[i]) so the lane's kernel skips rehashing.
+// batch is one lane's burst of packets, ready for core.ProcessBatch. On a
+// multi-shard engine hashes[i] carries flowmem.Hash(keys[i]), the shard
+// hash, so the lane's kernel skips rehashing; a single lane computes no
+// hash and leaves hashes empty.
 type batch struct {
 	keys   []flow.Key
 	sizes  []uint32
@@ -312,15 +313,11 @@ type Measure struct {
 	degradeKeep uint64
 	// shards mirrors cfg.Shards; 1 selects the single-lane packet path,
 	// which skips shard selection entirely (every flow maps to lane 0, so
-	// the hash would be pure overhead on the hot path).
+	// the hash would be pure overhead on the hot path). With more shards
+	// the shard hash ships with each batch, so lane kernels never rehash —
+	// one hash per packet across the whole pipeline.
 	shards uint32
-	// forwardHashes records whether the lanes' algorithms consume the
-	// producer's per-packet key hash (core.HashBatchAlgorithm with KeyHash
-	// == flowmem.Hash): if so the multi-shard path ships the hashes with
-	// each batch and the lane kernels never rehash — one hash per packet
-	// across the whole pipeline.
-	forwardHashes bool
-	lanes         []*lane
+	lanes  []*lane
 	// scratch is the per-shard partition scratch for PacketBatch.
 	scratch []shardScratch
 	// gather is EndInterval's reusable per-lane reply scratch, collected
@@ -391,35 +388,6 @@ func (m *Measure) Validate() error { return m.cfg.Validate() }
 // snapshots (and thereby its Health). Call before traffic flows.
 func (m *Measure) SetExportTelemetry(t *telemetry.Export) { m.exportTel = t }
 
-// hashProbeKeys are arbitrary fixed keys used to verify that a lane
-// algorithm's KeyHash is flowmem.Hash before the producer forwards its
-// hashes: four 64-bit matches by coincidence is not a realistic failure
-// mode, a mismatched custom algorithm is.
-var hashProbeKeys = [4]flow.Key{
-	{Hi: 0, Lo: 0},
-	{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210},
-	{Hi: ^uint64(0), Lo: 0x5555555555555555},
-	{Hi: 0x1, Lo: 0x8000000000000000},
-}
-
-// canForwardHashes reports whether alg's batch kernel consumes exactly the
-// per-packet hash the producer computes for shard selection
-// (flowmem.Hash). Algorithms whose kernels derive their own probe hash —
-// the doublehash filter — keep hashing in the lane; the producer's remix
-// is still the only shard-selection cost.
-func canForwardHashes(alg core.Algorithm) bool {
-	hb, ok := alg.(core.HashBatchAlgorithm)
-	if !ok {
-		return false
-	}
-	for _, k := range hashProbeKeys {
-		if hb.KeyHash(k) != flowmem.Hash(k) {
-			return false
-		}
-	}
-	return true
-}
-
 // start validates the configuration and spins up the lanes; it is called by
 // the Graph coordinator (exactly once). On error every lane already started
 // is shut down.
@@ -451,9 +419,6 @@ func (m *Measure) start() error {
 		if err != nil {
 			m.Close()
 			return fmt.Errorf("stagegraph: measure shard %d: %w", i, err)
-		}
-		if i == 0 {
-			m.forwardHashes = cfg.Shards > 1 && canForwardHashes(alg)
 		}
 		ln := &lane{
 			ring:  spsc.New[op](cfg.QueueDepth),
@@ -532,11 +497,11 @@ func (m *Measure) processOp(ln *lane, o op) (ok bool) {
 		o.flush <- ln.arena
 		return true
 	}
-	if len(o.b.hashes) == len(o.b.keys) && len(o.b.keys) > 0 {
-		core.ProcessBatchHash(ln.loadAlg(), o.b.hashes, o.b.keys, o.b.sizes)
-	} else {
-		core.ProcessBatch(ln.loadAlg(), o.b.keys, o.b.sizes)
+	hashes := o.b.hashes
+	if len(hashes) != len(o.b.keys) {
+		hashes = nil // single lane: no shard hash was computed
 	}
+	core.ProcessBatch(ln.loadAlg(), hashes, o.b.keys, o.b.sizes)
 	o.b.reset()
 	ln.free.Push(o.b)
 	return true
@@ -552,13 +517,13 @@ func (m *Measure) shedOp(ln *lane, o op) {
 	ln.shedBatch(o.b)
 }
 
-// enqueue appends one packet (with its key hash, when forwarding) to its
-// lane's pending batch and hands the batch over when full.
+// enqueue appends one packet (with its shard hash on a multi-shard engine)
+// to its lane's pending batch and hands the batch over when full.
 func (m *Measure) enqueue(lane int, key flow.Key, size uint32, hash uint64) {
 	b := m.pending[lane]
 	b.keys = append(b.keys, key)
 	b.sizes = append(b.sizes, size)
-	if m.forwardHashes {
+	if m.shards > 1 {
 		b.hashes = append(b.hashes, hash)
 	}
 	if len(b.keys) >= m.batchSize {
@@ -696,8 +661,8 @@ func (m *Measure) Packet(pkt *flow.Packet) {
 // the batch pointer held in a register — no shard hash, no per-packet
 // pending-slot load. The multi-shard path partitions the burst into
 // per-shard sub-batches in grow-only scratch — one key hash per packet
-// picks the shard and, for lanes that consume it, doubles as the flow
-// memory probe hash — and then bulk-appends each sub-batch to its lane.
+// picks the shard and rides along as the lane kernels' flow memory probe
+// hash — and then bulk-appends each sub-batch to its lane.
 func (m *Measure) PacketBatch(pkts []flow.Packet) {
 	if m.shards == 1 {
 		b := m.pending[0]
@@ -712,7 +677,6 @@ func (m *Measure) PacketBatch(pkts []flow.Packet) {
 		return
 	}
 	def := m.cfg.Definition
-	forward := m.forwardHashes
 	scratch := m.scratch
 	for s := range scratch {
 		sc := &scratch[s]
@@ -726,9 +690,7 @@ func (m *Measure) PacketBatch(pkts []flow.Packet) {
 		sc := &scratch[shardOf(h, m.shards)]
 		sc.keys = append(sc.keys, key)
 		sc.sizes = append(sc.sizes, pkts[i].Size)
-		if forward {
-			sc.hashes = append(sc.hashes, h)
-		}
+		sc.hashes = append(sc.hashes, h)
 	}
 	for s := range scratch {
 		if len(scratch[s].keys) > 0 {
@@ -741,7 +703,6 @@ func (m *Measure) PacketBatch(pkts []flow.Packet) {
 // pending batch, handing over full batches as they fill.
 func (m *Measure) appendShard(i int, sc *shardScratch) {
 	keys, sizes, hashes := sc.keys, sc.sizes, sc.hashes
-	forward := m.forwardHashes
 	b := m.pending[i]
 	for len(keys) > 0 {
 		n := m.batchSize - len(b.keys)
@@ -750,12 +711,10 @@ func (m *Measure) appendShard(i int, sc *shardScratch) {
 		}
 		b.keys = append(b.keys, keys[:n]...)
 		b.sizes = append(b.sizes, sizes[:n]...)
+		b.hashes = append(b.hashes, hashes[:n]...)
 		keys = keys[n:]
 		sizes = sizes[n:]
-		if forward {
-			b.hashes = append(b.hashes, hashes[:n]...)
-			hashes = hashes[n:]
-		}
+		hashes = hashes[n:]
 		if len(b.keys) >= m.batchSize {
 			m.flushLane(i)
 			b = m.pending[i]

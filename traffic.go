@@ -28,6 +28,11 @@
 //	    for _, est := range report.Estimates { ... }
 //	}
 //
+// Sample and hold and the multistage filters each run one packet kernel,
+// which works on batches: Replay hands a Device whole batches (see
+// WithBatchSize), and Algorithm.Process is a batch of one, so per-packet
+// and batched replay produce identical reports.
+//
 // Sources can be synthetic traces (NewGenerator with a Preset
 // configuration), files in this library's compact trace format
 // (NewTraceReader), or pcap captures (see internal/pcap via cmd/tracegen).
@@ -94,17 +99,14 @@ type Estimate = core.Estimate
 // sampling.
 type Algorithm = core.Algorithm
 
-// BatchAlgorithm is an Algorithm with a batched fast path. Sample and hold
-// and the multistage filters implement it; ProcessBatch is observably
+// ProcessBatch feeds a batch of packets to an algorithm. Sample and hold
+// and the multistage filters each have one packet kernel that works on
+// batches — Process is a batch of one — so ProcessBatch is observably
 // equivalent to per-packet Process calls but amortizes hashing and cost
-// accounting across the batch.
-type BatchAlgorithm = core.BatchAlgorithm
-
-// ProcessBatch feeds a batch of packets to an algorithm, using its batched
-// fast path when it has one and falling back to per-packet Process calls
-// otherwise.
+// accounting across the batch. Other algorithms get per-packet Process
+// calls.
 func ProcessBatch(a Algorithm, keys []FlowKey, sizes []uint32) {
-	core.ProcessBatch(a, keys, sizes)
+	core.ProcessBatch(a, nil, keys, sizes)
 }
 
 // SampleAndHoldConfig configures sample and hold (Section 3.1 of the
