@@ -101,10 +101,9 @@ func TestBatchedReplayEquivalenceMultistage(t *testing.T) {
 }
 
 // TestBatchedReplayEquivalenceHashFamilies runs the non-default hash
-// families through the per-packet and batched replay paths. For
-// "doublehash" this pits the batched one-base-hash-per-packet deriver
-// against the per-packet per-stage fallback, which must land every key on
-// identical buckets.
+// families through the per-packet and batched replay paths: a batch of one
+// and a batch of many must land every key on identical buckets and leave
+// identical reports.
 func TestBatchedReplayEquivalenceHashFamilies(t *testing.T) {
 	meta, pkts, capacity := collectTrace(t, "COS", 0.02, 3)
 	for _, hash := range []string{"multiplyshift", "doublehash"} {

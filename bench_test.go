@@ -266,21 +266,21 @@ func BenchmarkReplayBatched(b *testing.B) {
 
 // BenchmarkReplayBatchedSingleShard is the fused kernel's intended
 // single-core deployment shape: one lane (shard selection skipped on the
-// producer), the doublehash family (one base hash per packet serving the
-// filter stages and the flow memory probe), and 256-packet bursts so
-// ring handoffs amortize further than the 4-lane default.
+// producer), the doublehash family (one base hash per packet serving all
+// the filter stages), and 256-packet bursts so ring handoffs amortize
+// further than the 4-lane default.
 func BenchmarkReplayBatchedSingleShard(b *testing.B) {
 	benchReplayPipeline(b, 1, "doublehash", 256, 256)
 }
 
 // BenchmarkPipelineShardsN is the shard-scaling curve: the same replay at
 // 1, 2, 4 and 8 lanes with identical per-lane configuration, so the ratio
-// of the pkts/s metrics is the pipeline's parallel speedup. On a
-// multi-core box 4 shards should clear 2.5× the single-shard rate (the
-// SPSC handoff and fused shard partitioning keep the producer off the
-// critical path); on a single-CPU box the lanes time-slice and the curve is
-// flat — compare pkts/s, not ns/op, and read EXPERIMENTS.md for the
-// recorded curve.
+// of the pkts/s metrics is the pipeline's parallel speedup. The curve has
+// never been measured rising: on a 2-vCPU VM (-benchtime 200x -count 3) it
+// fell from about 8.1 M pkts/s at 1 lane to 7.3, 6.7 and 5.5 M at 2, 4 and
+// 8, because the producer, not the lane kernels, is the critical path.
+// Compare pkts/s, not ns/op, and read EXPERIMENTS.md for the recorded
+// curve.
 func BenchmarkPipelineShards1(b *testing.B) { benchReplayPipeline(b, 1, "doublehash", 256, 256) }
 func BenchmarkPipelineShards2(b *testing.B) { benchReplayPipeline(b, 2, "doublehash", 256, 256) }
 func BenchmarkPipelineShards4(b *testing.B) { benchReplayPipeline(b, 4, "doublehash", 256, 256) }
@@ -445,24 +445,22 @@ func BenchmarkFilterBatchMultiplyShift(b *testing.B) { benchFilterBatch(b, "mult
 // base hash per packet, all d stage buckets derived as h1 + i·h2.
 func BenchmarkFilterBatchDoubleHash(b *testing.B) { benchFilterBatch(b, "doublehash") }
 
-// BenchmarkFilterEndIntervalDRAM gates the multistage interval close at
-// DRAM scale. Each op replays one MAG ×0.1 interval (~62 k packets, 5-tuple
-// flows) into a conservative, shielded, preserving filter with 4×2^20
-// counters (32 MiB) and 65 536 entries with the timer stopped, then times
-// only the close into a reused report arena. A close that does work in
-// proportion to the counter memory, or sorts whole entries, shows up here.
-func BenchmarkFilterEndIntervalDRAM(b *testing.B) {
+// magIntervals generates n MAG ×0.1 intervals (~62 k packets each) as
+// 5-tuple keys and sizes per interval, with the trace's per-interval
+// capacity for sizing thresholds.
+func magIntervals(b *testing.B, n int) (keys [][]FlowKey, sizes [][]uint32, capacity float64) {
+	b.Helper()
 	cfg, err := Preset("MAG")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg = cfg.Scaled(0.1).WithIntervals(1)
+	cfg = cfg.Scaled(0.1).WithIntervals(n)
 	src, err := NewGenerator(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var keys []FlowKey
-	var sizes []uint32
+	meta := src.Meta()
+	keys, sizes = make([][]FlowKey, n), make([][]uint32, n)
 	for {
 		p, err := src.Next()
 		if err == io.EOF {
@@ -471,27 +469,50 @@ func BenchmarkFilterEndIntervalDRAM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		keys = append(keys, FiveTuple.Key(&p))
-		sizes = append(sizes, p.Size)
+		iv := min(int(p.Time/meta.Interval), n-1)
+		keys[iv] = append(keys[iv], FiveTuple.Key(&p))
+		sizes[iv] = append(sizes[iv], p.Size)
 	}
+	return keys, sizes, meta.Capacity()
+}
+
+// dramFilter builds the msf-dram device's filter: 4×2^20 counters (32 MiB)
+// and 65 536 entries, conservative, shielded and preserving, at the
+// benchmark device's initial threshold of 0.1 % of capacity.
+func dramFilter(b *testing.B, capacity float64) Algorithm {
+	b.Helper()
 	alg, err := NewMultistageFilter(MultistageConfig{
 		Stages: 4, Buckets: 1 << 20, Entries: 65536,
-		Threshold:    uint64(0.001 * cfg.Capacity()),
+		Threshold:    uint64(0.001 * capacity),
 		Conservative: true, Shield: true, Preserve: true, Seed: 5,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return alg
+}
+
+// replayInterval feeds one interval to alg in 256-packet batches.
+func replayInterval(alg Algorithm, keys []FlowKey, sizes []uint32) {
+	for i := 0; i < len(keys); i += 256 {
+		end := min(i+256, len(keys))
+		ProcessBatch(alg, keys[i:end], sizes[i:end])
+	}
+}
+
+// BenchmarkFilterEndIntervalDRAM gates the multistage interval close at
+// DRAM scale. Each op replays one MAG ×0.1 interval into the msf-dram
+// filter (dramFilter) with the timer stopped, then times only the close
+// into a reused report arena. A close that does work in proportion to the
+// counter memory, or sorts whole entries, shows up here.
+func BenchmarkFilterEndIntervalDRAM(b *testing.B) {
+	keys, sizes, capacity := magIntervals(b, 1)
+	alg := dramFilter(b, capacity)
 	closer := alg.(interface {
 		AppendEstimates(dst []Estimate) []Estimate
 	})
 	var arena []Estimate
-	replay := func() {
-		for i := 0; i < len(keys); i += 256 {
-			end := min(i+256, len(keys))
-			ProcessBatch(alg, keys[i:end], sizes[i:end])
-		}
-	}
+	replay := func() { replayInterval(alg, keys[0], sizes[0]) }
 	// Preserved entries reach their steady state after a few intervals.
 	for i := 0; i < 3; i++ {
 		replay()
@@ -505,6 +526,42 @@ func BenchmarkFilterEndIntervalDRAM(b *testing.B) {
 		b.StartTimer()
 		arena = closer.AppendEstimates(arena[:0])
 	}
+}
+
+// BenchmarkFilterBatchShielded is the packet kernel on real traffic: the
+// msf-dram filter (dramFilter) under the benchmark device's threshold
+// adaptation, fed 5-tuple keys of successive MAG ×0.1 intervals. Four
+// intervals warm the threshold and flow memory up; each op then replays one
+// of the next four (round robin) with the timer on ProcessBatch only. Unlike
+// the all-miss FilterBatch rows, most packets here belong to flows already
+// in flow memory, so under shielding they skip the filter: one lookup and
+// one entry update, no stage hash and no counter line.
+func BenchmarkFilterBatchShielded(b *testing.B) {
+	const warm, timed = 4, 4
+	keys, sizes, capacity := magIntervals(b, warm+timed)
+	alg := dramFilter(b, capacity)
+	adaptor := NewAdaptor(MultistageAdaptation())
+	closeInterval := func() {
+		threshold, used := alg.Threshold(), alg.EntriesUsed()
+		alg.EndInterval()
+		alg.SetThreshold(adaptor.Adapt(used, alg.Capacity(), threshold))
+	}
+	for iv := 0; iv < warm; iv++ {
+		replayInterval(alg, keys[iv], sizes[iv])
+		closeInterval()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	pkts := 0
+	for i := 0; i < b.N; i++ {
+		iv := warm + i%timed
+		replayInterval(alg, keys[iv], sizes[iv])
+		pkts += len(keys[iv])
+		b.StopTimer()
+		closeInterval()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
 }
 
 // benchSink keeps pure-compute benchmark results alive.

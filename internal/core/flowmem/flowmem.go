@@ -151,9 +151,9 @@ func (m *Memory) Full() bool { return m.count >= m.capacity }
 
 // LookupHash returns the entry for key, or nil; h is the key's probe hash,
 // which callers compute once per packet and reuse for prefetch, lookup and
-// insert. Every caller of one Memory must use the same hash function
-// (Hash, or a filter's own base hash). The pointer stays valid — and the
-// entry in place — until the next EndInterval.
+// insert. Every caller of one Memory must use the same hash function, Hash.
+// The pointer stays valid — and the entry in place — until the next
+// EndInterval.
 func (m *Memory) LookupHash(h uint64, key flow.Key) *Entry {
 	i := h & m.mask
 	for m.ctrl[i] != 0 {

@@ -13,10 +13,11 @@ import (
 )
 
 // TestBatchScratchGrowOnly replays batches of wildly mixed sizes through
-// ProcessBatch and asserts the hash-offset scratch (batchIdx) is grow-only:
-// after one batch at the maximum size has grown it, no batch — large, tiny,
-// or in between — may allocate. A shrink-and-reallocate regression would
-// show up as steady allocations on every size change.
+// ProcessBatch and asserts the batch scratch (probe hashes, lookup results,
+// counter keys and offsets) is grow-only: after one batch at the maximum
+// size has grown it, no batch — large, tiny, or in between — may allocate.
+// A shrink-and-reallocate regression would show up as steady allocations on
+// every size change.
 func TestBatchScratchGrowOnly(t *testing.T) {
 	for _, hash := range []string{"tabulation", "doublehash"} {
 		t.Run(hash, func(t *testing.T) {

@@ -32,49 +32,56 @@ func kernelWorkload(intervals, perInterval int) ([][]flow.Key, [][]uint32) {
 }
 
 // TestKernelMatchesReference drives the packet kernel for every hash
-// family, batch sizes {1, 7, 64, 1024} and entry preservation, with and
-// without caller-supplied flowmem hashes (the sharded pipeline's forwarded
-// shard hash; batch size 1 without hashes goes through Process), and
-// checks every interval's counters and report against refFilter. The
-// memory accounting totals must not depend on the batch size or the hash
-// source either.
+// family, filter depths 3 and 4 (the odd one ends on tabulation's lone
+// stage), shielding on and off (off, every packet's stage offsets are
+// hashed; on, only the lookup-phase misses'), batch sizes {1, 7, 64, 1024}
+// and entry preservation, with and without caller-supplied flowmem hashes
+// (the sharded pipeline's forwarded shard hash; batch size 1 without hashes
+// goes through Process), and checks every interval's counters and report
+// against refFilter. The memory accounting totals must not depend on the
+// batch size or the hash source either.
 func TestKernelMatchesReference(t *testing.T) {
 	keys, sizes := kernelWorkload(3, 4097)
 	for _, hash := range []string{"tabulation", "multiplyshift", "doublehash"} {
-		for _, preserve := range []bool{false, true} {
-			cfg := Config{
-				Stages: 4, Buckets: 512, Entries: 256, Threshold: 200_000,
-				Conservative: true, Shield: true, Preserve: preserve,
-				Hash: hash, Seed: 9,
-			}
-			var mem0 *memmodel.Counter
-			for _, bs := range []int{1, 7, 64, 1024} {
-				for _, supplied := range []bool{false, true} {
-					label := fmt.Sprintf("%s/preserve=%v/batch=%d/hashes=%v", hash, preserve, bs, supplied)
-					t.Run(label, func(t *testing.T) {
-						f, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
+		for _, stages := range []int{3, 4} {
+			for _, shield := range []bool{true, false} {
+				for _, preserve := range []bool{false, true} {
+					cfg := Config{
+						Stages: stages, Buckets: 512, Entries: 256, Threshold: 200_000,
+						Conservative: true, Shield: shield, Preserve: preserve,
+						Hash: hash, Seed: 9,
+					}
+					var mem0 *memmodel.Counter
+					for _, bs := range []int{1, 7, 64, 1024} {
+						for _, supplied := range []bool{false, true} {
+							label := fmt.Sprintf("%s/d=%d/shield=%v/preserve=%v/batch=%d/hashes=%v",
+								hash, stages, shield, preserve, bs, supplied)
+							t.Run(label, func(t *testing.T) {
+								f, err := New(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								ref := newRefFilter(cfg, f)
+								reported := 0
+								for iv := range keys {
+									k, s := keys[iv], sizes[iv]
+									for i := range k {
+										ref.process(k[i], s[i])
+									}
+									driveKernel(f, k, s, bs, supplied)
+									reported += len(requireMatchesRef(t, f, ref, iv))
+								}
+								if reported == 0 {
+									t.Fatal("no flow was promoted: the grid compares empty reports")
+								}
+								if mem0 == nil {
+									mem0 = f.Mem()
+								} else if *f.Mem() != *mem0 {
+									t.Fatalf("memory accounting %+v, batch=1 run %+v", *f.Mem(), *mem0)
+								}
+							})
 						}
-						ref := newRefFilter(cfg, f)
-						reported := 0
-						for iv := range keys {
-							k, s := keys[iv], sizes[iv]
-							for i := range k {
-								ref.process(k[i], s[i])
-							}
-							driveKernel(f, k, s, bs, supplied)
-							reported += len(requireMatchesRef(t, f, ref, iv))
-						}
-						if reported == 0 {
-							t.Fatal("no flow was promoted: the grid compares empty reports")
-						}
-						if mem0 == nil {
-							mem0 = f.Mem()
-						} else if *f.Mem() != *mem0 {
-							t.Fatalf("memory accounting %+v, batch=1 run %+v", *f.Mem(), *mem0)
-						}
-					})
+					}
 				}
 			}
 		}

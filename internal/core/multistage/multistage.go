@@ -118,30 +118,29 @@ type Filter struct {
 	base uint64
 	// buckets is the per-stage width b; stage i's counters start at i·b.
 	buckets uint32
-	hashes  []hashing.Func
-	// tileHashers[i] is hashes[i]'s whole-tile fast path, resolved once at
-	// construction; nil entries fall back to per-packet Bucket calls.
-	tileHashers []hashing.TileHasher
-	// deriver, when non-nil, derives all d stage buckets from ONE base
-	// hash per packet (Kirsch–Mitzenmacher double hashing); nil for
-	// families that hash each stage separately.
-	deriver hashing.Deriver
-	cost    memmodel.Counter
-	tel     telemetry.Algorithm
+	// hasher hashes keys for all d stages: flat counter offsets for a tile
+	// of keys, or one stage's bucket.
+	hasher hashing.StageHasher
+	cost   memmodel.Counter
+	tel    telemetry.Algorithm
 
 	// dropped counts flows that passed the filter but found the flow
 	// memory full; threshold adaptation keeps this near zero.
 	dropped uint64
 
-	// batchIdx is grow-only scratch holding a whole batch's flat counter
-	// offsets, packet-major: packet j's d offsets are contiguous at
-	// j·d..j·d+d, so the per-packet counter logic reads one short run.
-	batchIdx []uint32
-	// batchHash is grow-only scratch holding each packet's flow memory
-	// probe hash, computed once in the kernel's hash phase and reused for
-	// prefetch, lookup and insert.
-	batchHash []uint64
-	// prefetchSink accumulates the counter values the kernel's hash phase
+	// Grow-only batch scratch, sized for the largest batch so mixed batch
+	// sizes never re-allocate. batchHash holds each packet's flow memory
+	// probe hash (probe phase); found holds each packet's lookup-phase
+	// entry, nil on a miss. counterKeys holds, in batch order, the keys of
+	// the packets that touch counters (lookup-phase misses, or every
+	// packet without shielding), and batchIdx their flat counter offsets,
+	// packet-major: the k-th such packet's d offsets are contiguous at
+	// k·d..k·d+d, so the per-packet counter logic reads one short run.
+	batchHash   []uint64
+	found       []*flowmem.Entry
+	counterKeys []flow.Key
+	batchIdx    []uint32
+	// prefetchSink accumulates the counter values the kernel's lookup phase
 	// loads to warm their cache lines, so the compiler cannot drop the
 	// loads as dead.
 	prefetchSink uint64
@@ -150,20 +149,25 @@ type Filter struct {
 	oneSize [1]uint32
 }
 
-// fusedTile is the number of packets per hash→prefetch→update tile of the
-// packet kernel. Small enough that a tile's working set — d counter lines
-// plus a flow memory line or two per packet — stays L1-resident between the
-// hash phase that pulls it in and the update phase that reuses it; large
-// enough that the hash phase keeps many independent misses in flight.
+// fusedTile is the number of packets per tile of the packet kernel. Small
+// enough that a tile's working set — a flow memory line or two per packet,
+// plus d counter lines per packet that touches counters — stays L1-resident
+// between the phase that pulls it in and the update phase that reuses it;
+// large enough that each phase keeps many independent misses in flight.
 const fusedTile = 32
 
-// lookaheadTiles is the kernel's prefetch distance: tile i+2 is hashed
-// while tile i is updated. The prefetch distance table in EXPERIMENTS.md,
-// measured across table sizes {L2-resident, 4×L2, 64×L2}, shows this as the
-// all-around sweet spot — far enough ahead that a DRAM-resident table's
-// lines arrive before their update, near enough that the prefetched lines
-// are not evicted again under cache pressure.
-const lookaheadTiles = 2
+// probeAhead and lookupAhead are the kernel's prefetch distances in tiles:
+// tile i+2 is probe-hashed (its flow memory slots prefetched) and tile i+1
+// looked up (its counter lines prefetched) while tile i is updated. The
+// prefetch distance table in EXPERIMENTS.md, measured across table sizes
+// {L2-resident, 4×L2, 64×L2}, shows two tiles as the all-around sweet spot
+// — far enough ahead that a DRAM-resident table's lines arrive before their
+// use, near enough that the prefetched lines are not evicted again under
+// cache pressure.
+const (
+	probeAhead  = 2
+	lookupAhead = 1
+)
 
 // Interval floor constants. Within one interval a counter's value stays in
 // [0, counterCap] (writes saturate there), so every stored counter is below
@@ -197,14 +201,8 @@ func New(cfg Config) (*Filter, error) {
 		mem:      flowmem.New(capacity),
 		counters: make([]uint64, cfg.Stages*cfg.Buckets),
 		buckets:  uint32(cfg.Buckets),
-		hashes:   make([]hashing.Func, cfg.Stages),
+		hasher:   family.Stages(cfg.Stages, uint32(cfg.Buckets)),
 	}
-	f.tileHashers = make([]hashing.TileHasher, cfg.Stages)
-	for i := range f.hashes {
-		f.hashes[i] = family.New(uint32(cfg.Buckets))
-		f.tileHashers[i], _ = f.hashes[i].(hashing.TileHasher)
-	}
-	f.deriver = hashing.DeriverFor(f.hashes)
 	f.tel.Init(f.Name(), capacity, cfg.Threshold)
 	return f, nil
 }
@@ -237,29 +235,35 @@ func (f *Filter) Process(key flow.Key, size uint32) {
 }
 
 // ProcessBatch implements core.BatchAlgorithm and is the filter's one packet
-// kernel, a single pass over the batch in tiles of fusedTile packets. Each
-// tile runs a hash phase — stage buckets and the flow memory probe hash
-// computed per packet, the counter lines and home flow memory slots warmed
-// with prefetching loads — software-pipelined lookaheadTiles tiles ahead of
-// an update phase that runs the filter and flow memory logic against
-// cache-resident lines, so with a DRAM-resident table the prefetching loads
-// of tile i+2 are in flight while tile i's updates execute. The key is
-// hashed once: the flow memory probe hash comes from hashes when the
-// caller supplies them, and with a doublehash deriver it is the deriver's
-// base hash — which also yields the stage buckets — so hashes is ignored
-// there. Memory-reference accounting is accumulated locally and folded into
-// the filter's counter with a single Add.
+// kernel, a single pass over the batch in tiles of fusedTile packets, each
+// tile going through three software-pipelined phases:
+//
+//   - probe, probeAhead tiles ahead: the flow memory probe hash — hashes[j]
+//     when the caller supplies it, flowmem.Hash otherwise — and a
+//     prefetching load of the home slot;
+//   - lookup, lookupAhead tiles ahead: the flow memory lookup, and for the
+//     packets that will touch counters (untracked flows, or every packet
+//     without shielding) the stage offsets, hashed as one compacted tile,
+//     and prefetching loads of their counter lines;
+//   - update: the filter and flow memory logic against cache-resident
+//     lines. A shielded packet of a tracked flow adds its bytes straight to
+//     the entry its lookup found and never hashes a stage.
+//
+// The lookup phase can be trusted because entries never move or leave
+// mid-interval and a batch never spans an interval: an entry found stays
+// tracked, at the same address, until the update. A miss is not final — an
+// earlier packet in the lookahead window may have promoted the flow — so a
+// missed packet is probed again, but only when the flow memory has grown
+// since its tile's lookup. Memory-reference accounting follows the paper's
+// per-packet work, not the phases: it is accumulated locally and folded
+// into the filter's counter with a single Add.
 func (f *Filter) ProcessBatch(hashes []uint64, keys []flow.Key, sizes []uint32) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
-	d := len(f.hashes)
+	d := f.cfg.Stages
 	f.growScratch(n, d)
-	bidx := f.batchIdx[:n*d]
-	if f.deriver != nil {
-		hashes = nil
-	}
 	bh := hashes
 	if bh == nil {
 		bh = f.batchHash[:n]
@@ -267,16 +271,32 @@ func (f *Filter) ProcessBatch(hashes []uint64, keys []flow.Key, sizes []uint32) 
 	var cost memmodel.Counter
 	cost.Packets = uint64(n)
 	var bytes uint64
-	ht := 0 // packets hashed so far
+	// seen[i%len(seen)] is the flow memory's size at tile i's lookup.
+	var seen [lookupAhead + 1]int
+	probed, looked := 0, 0 // packets through the probe and lookup phases
+	rows, row := 0, 0      // offset rows filled by the lookup phase, used by the update
 	for t := 0; t < n; t += fusedTile {
-		// Keep the hash phase lookaheadTiles tiles ahead of this tile.
-		for ; ht < n && ht < t+(lookaheadTiles+1)*fusedTile; ht += fusedTile {
-			f.hashTile(hashes, keys, bidx, bh, ht, min(ht+fusedTile, n))
+		for ; probed < n && probed < t+(probeAhead+1)*fusedTile; probed += fusedTile {
+			f.probeTile(hashes, keys, bh, probed, min(probed+fusedTile, n))
 		}
+		for ; looked < n && looked < t+(lookupAhead+1)*fusedTile; looked += fusedTile {
+			seen[looked/fusedTile%len(seen)] = f.mem.Len()
+			rows = f.lookupTile(keys, bh, looked, min(looked+fusedTile, n), rows)
+		}
+		before := seen[t/fusedTile%len(seen)]
 		end := min(t+fusedTile, n)
 		for j := t; j < end; j++ {
 			bytes += uint64(sizes[j])
-			f.process(keys[j], sizes[j], bh[j], bidx[j*d:j*d+d], &cost)
+			e := f.found[j]
+			var idx []uint32
+			if e == nil || !f.cfg.Shield {
+				idx = f.batchIdx[row*d : row*d+d : row*d+d]
+				row++
+			}
+			if e == nil && f.mem.Len() != before {
+				e = f.mem.LookupHash(bh[j], keys[j])
+			}
+			f.process(keys[j], sizes[j], bh[j], e, idx, &cost)
 		}
 	}
 	f.cost.Add(cost)
@@ -292,78 +312,60 @@ func (f *Filter) growScratch(n, d int) {
 	}
 	if cap(f.batchHash) < n {
 		f.batchHash = make([]uint64, n)
+		f.found = make([]*flowmem.Entry, n)
+		f.counterKeys = make([]flow.Key, n)
 	}
 }
 
-// hashTile runs the kernel's hash phase over the packets in [lo, hi): it
-// fills each packet's flat counter offsets (bidx, packet-major with stride
-// d) and flow memory probe hash (bh), and issues the prefetching loads that
-// pull the counter lines and home flow memory slots toward the cache while
-// the update phase is still lookaheadTiles tiles behind. The loads are
-// independent, so their misses overlap — the memory-level parallelism a
-// one-packet-at-a-time pass cannot reach. hashes, when non-nil, supplies
-// the flow memory probe hashes (flowmem.Hash per key; bh is then hashes).
-func (f *Filter) hashTile(hashes []uint64, keys []flow.Key, bidx []uint32, bh []uint64, lo, hi int) {
-	d := len(f.hashes)
-	counters := f.counters
-	var sink uint64
-	if f.deriver != nil {
-		// One base hash per packet yields the flow memory probe hash and
-		// all d stage buckets, written as one contiguous run.
-		for j := lo; j < hi; j++ {
-			row := bidx[j*d : j*d+d : j*d+d]
-			h := f.deriver.DeriveBase(keys[j], row)
-			bh[j] = h
-			base := uint32(0)
-			for i := range row {
-				row[i] += base
-				base += f.buckets
-				sink += counters[row[i]]
-			}
-			f.mem.Prefetch(h)
+// probeTile is the kernel's probe phase over the packets in [lo, hi): it
+// fills each packet's flow memory probe hash in bh (unless the caller
+// supplied hashes, which bh then is) and prefetches its home slot. The loads
+// are independent, so their misses overlap — the memory-level parallelism a
+// one-packet-at-a-time pass cannot reach.
+func (f *Filter) probeTile(hashes []uint64, keys []flow.Key, bh []uint64, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		if hashes == nil {
+			bh[j] = flowmem.Hash(keys[j])
 		}
-	} else {
-		// Per-stage hashing keeps each stage's hash tables hot while the
-		// tile streams through them. Stages that can hash a whole tile in
-		// one call (TileHasher) write the strided offsets themselves; the
-		// counter-warming loads then run as a separate sweep.
-		base := uint32(0)
-		for i, h := range f.hashes {
-			if th := f.tileHashers[i]; th != nil {
-				th.BucketTile(keys[lo:hi], bidx[lo*d+i:], d, base)
-			} else {
-				for j := lo; j < hi; j++ {
-					bidx[j*d+i] = base + h.Bucket(keys[j])
-				}
-			}
-			base += f.buckets
-		}
-		for j := lo; j < hi; j++ {
-			for i := 0; i < d; i++ {
-				sink += counters[bidx[j*d+i]]
-			}
-		}
-		if hashes != nil {
-			for j := lo; j < hi; j++ {
-				f.mem.Prefetch(hashes[j])
-			}
-		} else {
-			for j := lo; j < hi; j++ {
-				h := flowmem.Hash(keys[j])
-				bh[j] = h
-				f.mem.Prefetch(h)
-			}
+		f.mem.Prefetch(bh[j])
+	}
+}
+
+// lookupTile is the kernel's lookup phase over the packets in [lo, hi): it
+// looks each packet's flow up in flow memory (found), appends the keys of
+// the packets that will touch counters to counterKeys from row rows on,
+// hashes those keys for every stage in one call — their offset rows land in
+// batchIdx — and warms the counter lines they name. It returns the number
+// of rows filled so far in the batch.
+func (f *Filter) lookupTile(keys []flow.Key, bh []uint64, lo, hi, rows int) int {
+	first := rows
+	for j := lo; j < hi; j++ {
+		e := f.mem.LookupHash(bh[j], keys[j])
+		f.found[j] = e
+		if e == nil || !f.cfg.Shield {
+			f.counterKeys[rows] = keys[j]
+			rows++
 		}
 	}
+	d := f.cfg.Stages
+	idx := f.batchIdx[first*d : rows*d]
+	f.hasher.Offsets(f.counterKeys[first:rows], idx)
+	counters := f.counters
+	var sink uint64
+	for _, o := range idx {
+		sink += counters[o]
+	}
 	f.prefetchSink += sink
+	return rows
 }
 
 // process is the kernel's update phase for one packet. fmh is the packet's
-// flow memory probe hash and idx its flat counter offsets, both computed by
-// the hash phase.
-func (f *Filter) process(key flow.Key, size uint32, fmh uint64, idx []uint32, cost *memmodel.Counter) {
+// flow memory probe hash, e its flow's entry (nil when untracked) and idx
+// its flat counter offsets — nil for a tracked flow under shielding, which
+// touches no counter.
+func (f *Filter) process(key flow.Key, size uint32, fmh uint64, e *flowmem.Entry, idx []uint32, cost *memmodel.Counter) {
 	cost.SRAM(1, 0) // flow memory lookup
-	if e := f.mem.LookupHash(fmh, key); e != nil {
+	if e != nil {
 		e.Bytes += uint64(size)
 		cost.SRAM(0, 1)
 		if !f.cfg.Shield {
@@ -606,5 +608,5 @@ func (f *Filter) CounterValue(stage int, bucket int) uint64 {
 
 // BucketOf exposes the bucket a key hashes to at a stage, for tests.
 func (f *Filter) BucketOf(stage int, key flow.Key) int {
-	return int(f.hashes[stage].Bucket(key))
+	return int(f.hasher.Bucket(stage, key))
 }

@@ -17,8 +17,9 @@
 //     Mitzenmacher show the scheme preserves sketch error bounds
 //     asymptotically.
 //
-// All families hash the 128-bit flow key of internal/flow to a 64-bit value;
-// Func values additionally fold that value onto a bucket range.
+// All families hash the 128-bit flow key of internal/flow to at least the 32
+// bits the bucket reduction reads; a Func folds that value onto one bucket
+// range, and a StageHasher does so for every stage of a filter at once.
 package hashing
 
 import (
@@ -42,23 +43,43 @@ type Family interface {
 	// New returns the next independent hash function with the given number
 	// of buckets (must be > 0).
 	New(buckets uint32) Func
+	// Stages returns the next d functions with the given number of buckets
+	// as one StageHasher: stage i hashes exactly as the i-th of d
+	// consecutive New calls would.
+	Stages(d int, buckets uint32) StageHasher
 }
 
-// Tabulation implements tabulation hashing: the 16 bytes of the key index 16
-// random tables of 64-bit words which are XORed together. Lookup tables make
-// it both fast and strongly universal.
-type Tabulation struct {
-	tables [16][256]uint64
+// StageHasher hashes flow keys for all d stages of a multistage filter at
+// once, laid out for the filter's flat counter array of d·b counters (stage
+// i's bucket j at i·b + j).
+type StageHasher interface {
+	// Offsets fills dst[j·d+i] with i·b plus stage i's bucket for keys[j],
+	// for every key j and stage i: packet-major flat counter offsets, so
+	// one packet's d offsets are contiguous. len(dst) must be at least
+	// len(keys)·d.
+	Offsets(keys []flow.Key, dst []uint32)
+	// Bucket returns stage's bucket for k, in [0, b).
+	Bucket(stage int, k flow.Key) uint32
 }
 
 // NewTabulation creates a tabulation hash function family seeded with seed.
+// Each function indexes 16 random tables with the 16 bytes of the key and
+// XORs the words found; lookup tables make it both fast and strongly
+// universal. A table word is the 32 bits reduce reads: the high half of
+// one 64-bit draw from the family's generator.
 func NewTabulation(seed int64) Family {
-	return &tabulationFamily{rng: rand.New(rand.NewSource(seed))}
+	return &tabulationFamily{src: rand.NewSource(seed).(rand.Source64)}
 }
 
+// tabulationFamily draws its table words straight from the source: the
+// same sequence rand.Rand.Uint64 yields, minus a call per word, which is
+// most of a filter's set-up time.
 type tabulationFamily struct {
-	rng *rand.Rand
+	src rand.Source64
 }
+
+// word draws the next table word.
+func (f *tabulationFamily) word() uint32 { return uint32(f.src.Uint64() >> 32) }
 
 func (f *tabulationFamily) New(buckets uint32) Func {
 	if buckets == 0 {
@@ -67,48 +88,106 @@ func (f *tabulationFamily) New(buckets uint32) Func {
 	t := &tabulationFunc{buckets: buckets}
 	for i := range t.tables {
 		for j := range t.tables[i] {
-			t.tables[i][j] = f.rng.Uint64()
+			t.tables[i][j] = f.word()
 		}
 	}
 	return t
 }
 
+// Stages packs stages (2p, 2p+1) into one table of 64-bit words, stage 2p
+// in the low half and 2p+1 in the high half, so one 16-load pass hashes
+// both; an odd last stage keeps a table of its own. The packed tables are
+// drawn in place: no per-stage copy is ever kept beside them.
+func (f *tabulationFamily) Stages(d int, buckets uint32) StageHasher {
+	if buckets == 0 {
+		panic("hashing: zero buckets")
+	}
+	s := &tabulationStages{d: d, buckets: buckets, pairs: make([][16][256]uint64, d/2)}
+	for p := range s.pairs {
+		t := &s.pairs[p]
+		for i := range t {
+			for j := range t[i] {
+				t[i][j] = uint64(f.word())
+			}
+		}
+		for i := range t {
+			for j := range t[i] {
+				t[i][j] |= uint64(f.word()) << 32
+			}
+		}
+	}
+	if d%2 == 1 {
+		s.lone = f.New(buckets).(*tabulationFunc)
+	}
+	return s
+}
+
 type tabulationFunc struct {
-	tables  [16][256]uint64
+	tables  [16][256]uint32
 	buckets uint32
 }
 
-// hash64 XORs the 16 table words a key indexes. The byte extraction is
+// tabulate XORs the 16 table words a key indexes. The byte extraction is
 // fully unrolled with independent shift amounts: the rolling hi >>= 8 form
 // chains every load's address computation behind the previous shift,
 // while this form gives the CPU 16 independent loads to issue at once —
 // the table probes are the family's whole cost, so the ILP is the speedup.
-func (t *tabulationFunc) hash64(k flow.Key) uint64 {
+func tabulate[W uint32 | uint64](t *[16][256]W, k flow.Key) W {
 	hi, lo := k.Hi, k.Lo
-	h := t.tables[0][byte(hi)] ^ t.tables[8][byte(lo)]
-	h ^= t.tables[1][byte(hi>>8)] ^ t.tables[9][byte(lo>>8)]
-	h ^= t.tables[2][byte(hi>>16)] ^ t.tables[10][byte(lo>>16)]
-	h ^= t.tables[3][byte(hi>>24)] ^ t.tables[11][byte(lo>>24)]
-	h ^= t.tables[4][byte(hi>>32)] ^ t.tables[12][byte(lo>>32)]
-	h ^= t.tables[5][byte(hi>>40)] ^ t.tables[13][byte(lo>>40)]
-	h ^= t.tables[6][byte(hi>>48)] ^ t.tables[14][byte(lo>>48)]
-	h ^= t.tables[7][byte(hi>>56)] ^ t.tables[15][byte(lo>>56)]
+	h := t[0][byte(hi)] ^ t[8][byte(lo)]
+	h ^= t[1][byte(hi>>8)] ^ t[9][byte(lo>>8)]
+	h ^= t[2][byte(hi>>16)] ^ t[10][byte(lo>>16)]
+	h ^= t[3][byte(hi>>24)] ^ t[11][byte(lo>>24)]
+	h ^= t[4][byte(hi>>32)] ^ t[12][byte(lo>>32)]
+	h ^= t[5][byte(hi>>40)] ^ t[13][byte(lo>>40)]
+	h ^= t[6][byte(hi>>48)] ^ t[14][byte(lo>>48)]
+	h ^= t[7][byte(hi>>56)] ^ t[15][byte(lo>>56)]
 	return h
 }
 
 func (t *tabulationFunc) Bucket(k flow.Key) uint32 {
-	return reduce(t.hash64(k), t.buckets)
+	return reduce32(tabulate(&t.tables, k), t.buckets)
 }
 
 func (t *tabulationFunc) Buckets() uint32 { return t.buckets }
 
-// BucketTile implements TileHasher: one call derives a whole tile's
-// buckets, keeping the function's 16 tables (32 KiB) hot across the tile
-// instead of re-touching them per packet interleaved with other work.
-func (t *tabulationFunc) BucketTile(keys []flow.Key, dst []uint32, stride int, add uint32) {
-	for j := range keys {
-		dst[j*stride] = add + reduce(t.hash64(keys[j]), t.buckets)
+// tabulationStages is the tabulation StageHasher: pairs[p] holds stages 2p
+// and 2p+1, lone the last stage of an odd d.
+type tabulationStages struct {
+	pairs   [][16][256]uint64
+	lone    *tabulationFunc
+	d       int
+	buckets uint32
+}
+
+// Offsets hashes pair-major: each packed table streams the whole slice of
+// keys while it is cache-hot, writing two stages per key.
+func (s *tabulationStages) Offsets(keys []flow.Key, dst []uint32) {
+	d, b := s.d, s.buckets
+	for p := range s.pairs {
+		t := &s.pairs[p]
+		i := 2 * p
+		lo, hi := uint32(i)*b, uint32(i+1)*b
+		for j, k := range keys {
+			h := tabulate(t, k)
+			dst[j*d+i] = lo + reduce32(uint32(h), b)
+			dst[j*d+i+1] = hi + reduce32(uint32(h>>32), b)
+		}
 	}
+	if s.lone != nil {
+		base := uint32(d-1) * b
+		for j, k := range keys {
+			dst[j*d+d-1] = base + s.lone.Bucket(k)
+		}
+	}
+}
+
+func (s *tabulationStages) Bucket(stage int, k flow.Key) uint32 {
+	if stage == 2*len(s.pairs) {
+		return s.lone.Bucket(k)
+	}
+	h := tabulate(&s.pairs[stage/2], k)
+	return reduce32(uint32(h>>(32*(stage&1))), s.buckets)
 }
 
 // NewMultiplyShift creates a multiply-shift hash family seeded with seed.
@@ -134,41 +213,48 @@ func (f *multShiftFamily) New(buckets uint32) Func {
 	}
 }
 
+func (f *multShiftFamily) Stages(d int, buckets uint32) StageHasher {
+	s := make(multShiftStages, d)
+	for i := range s {
+		s[i] = *f.New(buckets).(*multShiftFunc)
+	}
+	return s
+}
+
 type multShiftFunc struct {
 	a, b, c uint64
 	buckets uint32
 }
 
 func (m *multShiftFunc) Bucket(k flow.Key) uint32 {
-	h := k.Hi*m.a + k.Lo*m.b + m.c
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return reduce(h, m.buckets)
+	return reduce(mix64(k.Hi*m.a+k.Lo*m.b+m.c), m.buckets)
 }
 
 func (m *multShiftFunc) Buckets() uint32 { return m.buckets }
 
-// BucketTile implements TileHasher: the whole tile's buckets in one tight
-// multiply-mix loop with the constants held in registers.
-func (m *multShiftFunc) BucketTile(keys []flow.Key, dst []uint32, stride int, add uint32) {
-	a, b, c := m.a, m.b, m.c
-	for j := range keys {
-		h := keys[j].Hi*a + keys[j].Lo*b + c
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		dst[j*stride] = add + reduce(h, m.buckets)
+// multShiftStages is the multiply-shift StageHasher: one function per stage.
+type multShiftStages []multShiftFunc
+
+// Offsets hashes stage-major, each stage's constants held in registers
+// across the whole slice of keys.
+func (s multShiftStages) Offsets(keys []flow.Key, dst []uint32) {
+	d := len(s)
+	for i := range s {
+		m := s[i]
+		base := uint32(i) * m.buckets
+		for j, k := range keys {
+			dst[j*d+i] = base + m.Bucket(k)
+		}
 	}
 }
+
+func (s multShiftStages) Bucket(stage int, k flow.Key) uint32 { return s[stage].Bucket(k) }
 
 // NewDoubleHash creates a Kirsch–Mitzenmacher double-hashing family seeded
 // with seed. All functions drawn from one family instance share a single
 // base hash pair (h1, h2); the i-th function returns h1(k) + i·h2(k) folded
-// onto its bucket range. Consecutive functions from one instance can be
-// batched behind a Deriver (see DeriverFor) so a d-stage filter computes one
-// base hash per packet and derives all d buckets with an add and a multiply
-// each.
+// onto its bucket range. A StageHasher from Stages computes the base pair
+// once per key and derives all d buckets with an add each.
 func NewDoubleHash(seed int64) Family {
 	rng := rand.New(rand.NewSource(seed))
 	return &doubleHashFamily{base: dhBase{
@@ -219,6 +305,12 @@ func (f *doubleHashFamily) New(buckets uint32) Func {
 	return fn
 }
 
+func (f *doubleHashFamily) Stages(d int, buckets uint32) StageHasher {
+	s := &doubleHashStages{doubleHashFunc: *f.New(buckets).(*doubleHashFunc), d: d}
+	f.next += uint64(d - 1)
+	return s
+}
+
 type doubleHashFunc struct {
 	base    *dhBase
 	i       uint64
@@ -232,74 +324,43 @@ func (d *doubleHashFunc) Bucket(k flow.Key) uint32 {
 
 func (d *doubleHashFunc) Buckets() uint32 { return d.buckets }
 
-// TileHasher is implemented by hash functions that can derive a whole
-// tile's buckets in one call: BucketTile stores add + Bucket(keys[j]) at
-// dst[j*stride] for every j. The strided destination lets a multistage
-// filter write each stage's buckets straight into its packet-major offset
-// scratch without a scatter pass, and the per-tile call amortizes the
-// per-packet dispatch while keeping the function's tables cache-hot.
-type TileHasher interface {
-	Func
-	BucketTile(keys []flow.Key, dst []uint32, stride int, add uint32)
+// doubleHashStages is the double-hash StageHasher: stage s is the function
+// with index i+s, so one base pair per key yields every stage.
+type doubleHashStages struct {
+	doubleHashFunc
+	d int
 }
 
-// Deriver fills every stage's bucket from one base hash computation per key
-// — the fast path for hash families whose functions are derived from a
-// shared base.
-type Deriver interface {
-	// DeriveBase fills out[j] with the same bucket the j-th underlying
-	// function's Bucket(k) would return and returns the 64-bit base hash
-	// the buckets were derived from. len(out) must equal the function count
-	// the Deriver was built for. Callers that keep a hash table next to the
-	// filter (the flow memory) reuse the base as that table's probe hash,
-	// so one hash computation per packet serves both structures.
-	DeriveBase(k flow.Key, out []uint32) uint64
-}
-
-// DeriverFor returns a Deriver equivalent to calling Bucket on each of funcs
-// in turn, when funcs supports single-hash derivation: all functions must be
-// consecutive draws (in order) from one double-hash family instance with the
-// same bucket count. It returns nil otherwise, and callers fall back to
-// per-function hashing.
-func DeriverFor(funcs []Func) Deriver {
-	if len(funcs) == 0 {
-		return nil
-	}
-	first, ok := funcs[0].(*doubleHashFunc)
-	if !ok {
-		return nil
-	}
-	for j, fn := range funcs {
-		d, ok := fn.(*doubleHashFunc)
-		if !ok || d.base != first.base || d.i != first.i+uint64(j) || d.buckets != first.buckets {
-			return nil
+func (s *doubleHashStages) Offsets(keys []flow.Key, dst []uint32) {
+	d, b := s.d, s.buckets
+	for j, k := range keys {
+		h1, h2 := s.base.hash(k)
+		h := h1 + s.i*h2
+		row := dst[j*d : j*d+d]
+		base := uint32(0)
+		for i := range row {
+			row[i] = base + reduce(h, b)
+			h += h2
+			base += b
 		}
 	}
-	return &dhDeriver{base: first.base, i0: first.i, n: len(funcs), buckets: first.buckets}
 }
 
-type dhDeriver struct {
-	base    *dhBase
-	i0      uint64
-	n       int
-	buckets uint32
-}
-
-func (d *dhDeriver) DeriveBase(k flow.Key, out []uint32) uint64 {
-	h1, h2 := d.base.hash(k)
-	h := h1 + d.i0*h2
-	for j := 0; j < d.n; j++ {
-		out[j] = reduce(h, d.buckets)
-		h += h2
-	}
-	return h1
+func (s *doubleHashStages) Bucket(stage int, k flow.Key) uint32 {
+	h1, h2 := s.base.hash(k)
+	return reduce(h1+(s.i+uint64(stage))*h2, s.buckets)
 }
 
 // reduce maps a 64-bit hash onto [0, buckets) without the modulo bias of a
 // plain remainder: it multiplies the high 32 bits of the hash by the range
 // (Lemire's fast alternative to modulo).
 func reduce(h uint64, buckets uint32) uint32 {
-	return uint32((h >> 32) * uint64(buckets) >> 32)
+	return reduce32(uint32(h>>32), buckets)
+}
+
+// reduce32 is reduce for a hash that is already the 32 bits reduce reads.
+func reduce32(h, buckets uint32) uint32 {
+	return uint32(uint64(h) * uint64(buckets) >> 32)
 }
 
 // FamilyByName returns a seeded family by name ("tabulation",

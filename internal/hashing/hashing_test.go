@@ -128,62 +128,6 @@ func TestReduceCoversRange(t *testing.T) {
 	}
 }
 
-// TestDeriverMatchesBuckets: the single-base-hash derivation must agree
-// exactly with calling Bucket on every derived function — the filter's fast
-// path and slow path may never disagree on where a key lands.
-func TestDeriverMatchesBuckets(t *testing.T) {
-	family := NewDoubleHash(23)
-	funcs := make([]Func, 4)
-	for i := range funcs {
-		funcs[i] = family.New(4096)
-	}
-	d := DeriverFor(funcs)
-	if d == nil {
-		t.Fatal("DeriverFor returned nil for consecutive double-hash functions")
-	}
-	out := make([]uint32, len(funcs))
-	rng := rand.New(rand.NewSource(29))
-	for i := 0; i < 10000; i++ {
-		k := flow.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
-		d.DeriveBase(k, out)
-		for j, fn := range funcs {
-			if got := fn.Bucket(k); got != out[j] {
-				t.Fatalf("stage %d: DeriveBase gave %d, Bucket gave %d", j, out[j], got)
-			}
-		}
-	}
-}
-
-// TestDeriverForRejectsIneligible: families without a shared base (or
-// mismatched function sets) must fall back to per-function hashing.
-func TestDeriverForRejectsIneligible(t *testing.T) {
-	tab := NewTabulation(1)
-	if DeriverFor([]Func{tab.New(64), tab.New(64)}) != nil {
-		t.Error("DeriverFor accepted tabulation functions")
-	}
-	if DeriverFor(nil) != nil {
-		t.Error("DeriverFor accepted an empty set")
-	}
-	// Functions from two different double-hash family instances share no
-	// base hash.
-	f1 := NewDoubleHash(1).New(64)
-	f2 := NewDoubleHash(2).New(64)
-	if DeriverFor([]Func{f1, f2}) != nil {
-		t.Error("DeriverFor accepted functions from different families")
-	}
-	// Out-of-order draws break the i0+j stage indexing.
-	fam := NewDoubleHash(3)
-	a, b := fam.New(64), fam.New(64)
-	if DeriverFor([]Func{b, a}) != nil {
-		t.Error("DeriverFor accepted out-of-order functions")
-	}
-	// Mismatched bucket counts cannot share a derivation.
-	fam2 := NewDoubleHash(4)
-	if DeriverFor([]Func{fam2.New(64), fam2.New(128)}) != nil {
-		t.Error("DeriverFor accepted mismatched bucket counts")
-	}
-}
-
 // TestDoubleHashStagesDistinct: with h2 forced odd, two derived stages may
 // collide on a key no more often than chance.
 func TestDoubleHashStagesDistinct(t *testing.T) {
@@ -247,86 +191,114 @@ func BenchmarkMultiplyShift(b *testing.B) {
 	}
 }
 
-// BenchmarkDoubleHashDerive4 measures deriving all four stage buckets of a
-// packet from one base hash — the per-packet hashing cost of a d=4 filter on
-// the double-hash fast path (compare 4× BenchmarkTabulation).
-func BenchmarkDoubleHashDerive4(b *testing.B) {
-	fam := NewDoubleHash(1)
-	funcs := make([]Func, 4)
-	for i := range funcs {
-		funcs[i] = fam.New(4096)
-	}
-	d := DeriverFor(funcs)
-	if d == nil {
-		b.Fatal("no deriver")
-	}
-	out := make([]uint32, 4)
-	k := flow.Key{Hi: 0x0a00000100000001, Lo: 0x1234}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Lo++
-		d.DeriveBase(k, out)
+// BenchmarkStageOffsets measures a d=4 filter's per-packet hashing: the
+// flat counter offsets of all four stages for a 32-key tile, the filter
+// kernel's hash phase, per family.
+func BenchmarkStageOffsets(b *testing.B) {
+	keys := make([]flow.Key, 32)
+	dst := make([]uint32, len(keys)*4)
+	for _, fam := range families {
+		b.Run(fam.name, func(b *testing.B) {
+			s := fam.mk(1).Stages(4, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range keys {
+					keys[j] = flow.Key{Hi: 0x0a00000100000001, Lo: uint64(i*len(keys) + j)}
+				}
+				s.Offsets(keys, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/pkt")
+		})
 	}
 }
 
 // TestUnrolledTabulationMatchesReference pins the unrolled tabulation hash
-// (16 independent table loads) to an independent rolling-loop
-// reimplementation of the textbook algorithm: shift a byte off each key
-// word per iteration and XOR the indexed table words. Bit-identical output
-// means the unroll is purely a scheduling change — every downstream
-// consumer (filter buckets, FP rates, the d∈{2,4} ablation) is untouched.
+// (16 independent table loads over 32-bit words) to an independent
+// rolling-loop reimplementation of the textbook algorithm over the family's
+// 64-bit draws: shift a byte off each key word per iteration, XOR the
+// indexed words, and keep the high half — the 32 bits reduce reads.
+// Bit-identical output means neither the unroll nor the narrowed table
+// words change where any key lands: every downstream consumer (filter
+// buckets, FP rates, the d∈{2,4} ablation) is untouched.
 func TestUnrolledTabulationMatchesReference(t *testing.T) {
 	f := NewTabulation(99).New(1 << 20).(*tabulationFunc)
-	ref := func(k flow.Key) uint64 {
+	var words [16][256]uint64
+	rng := rand.New(rand.NewSource(99))
+	for i := range words {
+		for j := range words[i] {
+			words[i][j] = rng.Uint64()
+		}
+	}
+	ref := func(k flow.Key) uint32 {
 		var h uint64
 		hi, lo := k.Hi, k.Lo
 		for i := 0; i < 8; i++ {
-			h ^= f.tables[i][byte(hi)]
-			h ^= f.tables[8+i][byte(lo)]
+			h ^= words[i][byte(hi)]
+			h ^= words[8+i][byte(lo)]
 			hi >>= 8
 			lo >>= 8
 		}
-		return h
+		return uint32(h >> 32)
 	}
 	check := func(hi, lo uint64) bool {
 		k := flow.Key{Hi: hi, Lo: lo}
-		return f.hash64(k) == ref(k)
+		return tabulate(&f.tables, k) == ref(k)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
 	// Edge keys the random sample may miss.
 	for _, k := range []flow.Key{{}, {Hi: ^uint64(0), Lo: ^uint64(0)}, {Hi: 1}, {Lo: 1 << 63}} {
-		if f.hash64(k) != ref(k) {
-			t.Errorf("key %+v: unrolled %#x != reference %#x", k, f.hash64(k), ref(k))
+		if got := tabulate(&f.tables, k); got != ref(k) {
+			t.Errorf("key %+v: unrolled %#x != reference %#x", k, got, ref(k))
 		}
 	}
 }
 
-// TestBucketTileMatchesBucket pins every TileHasher implementation to its
-// own scalar Bucket across strides and bases: the tile path is the fused
-// kernel's hash phase, so a divergence would silently corrupt filter
-// counters.
-func TestBucketTileMatchesBucket(t *testing.T) {
+// TestStageOffsetsMatchBucket pins every family's StageHasher to the
+// per-stage scalar functions the same seed's New calls return, for depths
+// 1–5 (odd ones end on tabulation's lone stage) and bucket ranges from 1 to
+// 2^20: Offsets is the filter kernel's hash phase and Bucket its BucketOf,
+// so a divergence would silently move filter counters. One New draw before
+// Stages checks that a StageHasher continues the family's sequence.
+func TestStageOffsetsMatchBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	keys := make([]flow.Key, 37)
+	for i := range keys {
+		keys[i] = flow.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
+	}
+	keys = append(keys, flow.Key{}, flow.Key{Hi: ^uint64(0), Lo: ^uint64(0)})
+	const sentinel = ^uint32(0)
 	for _, fam := range families {
-		f := fam.mk(3).New(977)
-		th, ok := f.(TileHasher)
-		if !ok {
-			continue // doublehash funcs derive via Deriver, not BucketTile
-		}
-		rng := rand.New(rand.NewSource(11))
-		keys := make([]flow.Key, 33)
-		for i := range keys {
-			keys[i] = flow.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
-		}
-		for _, stride := range []int{1, 2, 4} {
-			for _, add := range []uint32{0, 977, 5 * 977} {
-				dst := make([]uint32, len(keys)*stride)
-				th.BucketTile(keys, dst, stride, add)
+		for d := 1; d <= 5; d++ {
+			for _, b := range []uint32{1, 977, 3114, 1 << 20} {
+				scalar := fam.mk(3)
+				scalar.New(b)
+				funcs := make([]Func, d)
+				for i := range funcs {
+					funcs[i] = scalar.New(b)
+				}
+				family := fam.mk(3)
+				family.New(b)
+				s := family.Stages(d, b)
+				dst := make([]uint32, len(keys)*d+1)
+				dst[len(dst)-1] = sentinel
+				s.Offsets(keys, dst[:len(keys)*d])
+				if dst[len(dst)-1] != sentinel {
+					t.Fatalf("%s d=%d b=%d: Offsets wrote past len(keys)·d", fam.name, d, b)
+				}
 				for j, k := range keys {
-					if want := add + f.Bucket(k); dst[j*stride] != want {
-						t.Errorf("%s stride=%d add=%d key %d: tile %d != scalar %d",
-							fam.name, stride, add, j, dst[j*stride], want)
+					for i, fn := range funcs {
+						want := fn.Bucket(k)
+						if got := dst[j*d+i]; got != uint32(i)*b+want {
+							t.Fatalf("%s d=%d b=%d key %d stage %d: offset %d, want %d",
+								fam.name, d, b, j, i, got, uint32(i)*b+want)
+						}
+						if got := s.Bucket(i, k); got != want {
+							t.Fatalf("%s d=%d b=%d key %d stage %d: Bucket %d, want %d",
+								fam.name, d, b, j, i, got, want)
+						}
 					}
 				}
 			}

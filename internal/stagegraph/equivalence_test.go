@@ -205,10 +205,8 @@ func TestShardedRestartMidStreamMatchesReference(t *testing.T) {
 // differential: the preset shard→lane graph must produce bit-identical
 // interval reports and matching telemetry totals to the independent
 // reference model, across 3 hash families × batch sizes {1, 64, 1024} ×
-// shard counts {1, 2, 4, 8}. The hash families deliberately straddle the
-// hash-forwarding split: multi-shard tabulation and multiplyshift lanes
-// probe their flow memory with the producer's shard hash, doublehash lanes
-// ignore it and probe with their deriver's base hash.
+// shard counts {1, 2, 4, 8}. Multi-shard lanes probe their flow memory with
+// the producer's forwarded shard hash whatever the stage hash family.
 // Run under -race in CI.
 func TestPresetGraphMatchesReferenceModel(t *testing.T) {
 	pkts := equivTrace(30000)
