@@ -133,8 +133,8 @@ func TestExtractFacade(t *testing.T) {
 		t.Fatalf("facade API has %d lines, expected a substantial surface", len(lines))
 	}
 	wantAnchors := []string{
-		"func NewPipeline(PipelineConfig, ...PipelineOption) (*Pipeline, error)",
-		"func NewStageGraph(StageGraphConfig, ...StageGraphOption) (*StageGraph, error)",
+		"func NewPipeline(PipelineConfig) (*Pipeline, error)",
+		"func NewDevice(Algorithm, FlowDefinition, *Adaptor) *Device",
 		"func Replay(Source, Consumer, ...ReplayOption) (int, error)",
 	}
 	have := make(map[string]bool, len(lines))

@@ -17,9 +17,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -35,7 +33,6 @@ import (
 	"repro/internal/netflow"
 	"repro/internal/netflow/reliable"
 	"repro/internal/pipeline"
-	"repro/internal/stagegraph"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -565,10 +562,10 @@ func (s *exportSink) registerHealth() {
 }
 
 // runAB races the primary algorithm (side "a") against a second one (side
-// "b") on the same packet stream through an A/B stage graph, scoring their
-// per-interval agreement with a compare stage — the quickest way to answer
-// "would sample-and-hold have caught the same heavy hitters as the filter?"
-// on a real trace.
+// "b") on the same packet stream through two pipelines, scoring their
+// per-interval agreement as each interval closes — the quickest way to
+// answer "would sample-and-hold have caught the same heavy hitters as the
+// filter?" on a real trace.
 func runAB(o options, mkAlgFor func(string, int64) (core.Algorithm, *adapt.Adaptor, error),
 	def flow.Definition, src trace.Source, thBytes uint64) error {
 
@@ -576,8 +573,8 @@ func runAB(o options, mkAlgFor func(string, int64) (core.Algorithm, *adapt.Adapt
 	if shards < 1 {
 		shards = 1
 	}
-	mkCfg := func(algName string, seedBase int64) stagegraph.MeasureConfig {
-		return stagegraph.MeasureConfig{
+	mkCfg := func(algName string, seedBase int64) pipeline.Config {
+		return pipeline.Config{
 			Shards:          shards,
 			QueueDepth:      1024,
 			Overload:        o.overload,
@@ -591,51 +588,21 @@ func runAB(o options, mkAlgFor func(string, int64) (core.Algorithm, *adapt.Adapt
 			Seed:       o.seed,
 		}
 	}
-	topo := stagegraph.PresetAB(mkCfg(o.algName, o.seed+1), mkCfg(o.ab, o.seed+501), o.top)
-
-	// Tap the compare stage's events; the graph supervises the tap like any
-	// other async stage, and Close drains it before collect is read.
-	var (
-		mu      sync.Mutex
-		results []stagegraph.CompareResult
-	)
-	topo.Nodes = append(topo.Nodes, stagegraph.Node{
-		Name: "tap",
-		Stage: stagegraph.NewFunc("tap",
-			[]stagegraph.Port{{Name: "in", Type: stagegraph.EventPort}}, nil,
-			func(in stagegraph.Inbound, _ stagegraph.EmitFunc) error {
-				if in.Msg.Event != nil {
-					if res, ok := in.Msg.Event.Payload.(stagegraph.CompareResult); ok {
-						mu.Lock()
-						results = append(results, res)
-						mu.Unlock()
-					}
-				}
-				return nil
-			}),
-	})
-	topo.Edges = append(topo.Edges, stagegraph.Edge{From: "compare.events", To: "tap.in"})
-
-	g, err := stagegraph.New(stagegraph.Config{Topology: topo})
+	ab, err := pipeline.NewAB(mkCfg(o.algName, o.seed+1), mkCfg(o.ab, o.seed+501), o.top)
 	if err != nil {
 		return err
 	}
-	defer g.Close()
+	defer ab.Close()
 
 	fmt.Printf("A/B device: %s (a) vs %s (b), flows by %s, threshold %d bytes (%.4f%% of capacity), %d shard(s)\n",
 		o.algName, o.ab, def.Name(), thBytes, o.threshold*100, shards)
-	n, err := trace.Replay(src, g)
-	if err != nil {
-		return err
-	}
-	g.Close() // drain the ops plane so every comparison has arrived
-
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(results, func(i, j int) bool { return results[i].Interval < results[j].Interval })
-	for _, r := range results {
+	ab.OnCompare = func(r pipeline.CompareResult) {
 		fmt.Printf("interval %d: a=%d flows, b=%d flows, %d common, top-%d overlap %.0f%%, avg rel diff %.2f%%\n",
 			r.Interval, r.FlowsA, r.FlowsB, r.CommonFlows, r.K, 100*r.TopKOverlap, 100*r.AvgRelDiff)
+	}
+	n, err := trace.Replay(src, ab)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("processed %d packets through both sides\n", n)
 	return nil

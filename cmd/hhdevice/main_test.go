@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -59,6 +61,46 @@ func TestRunAB(t *testing.T) {
 	o.shards = 2
 	if err := run(o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunABOutput pins the A/B report of
+// "hhdevice -preset MAG -scale 0.01 -intervals 4 -shards 2 -alg msf -ab sh":
+// both sides are deterministic given the seed, so the comparison lines are
+// byte-stable across changes that keep reports identical.
+func TestRunABOutput(t *testing.T) {
+	o := testOptions("msf", "5-tuple", "MAG", 0.01, 4)
+	o.entries, o.stages, o.buckets, o.top = 1024, 4, 1024, 10
+	o.shards = 2
+	o.ab = "sh"
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := run(o)
+	os.Stdout = stdout
+	w.Close()
+	got := string(<-out)
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	const want = `A/B device: msf (a) vs sh (b), flows by 5-tuple, threshold 15552 bytes (0.1000% of capacity), 2 shard(s)
+interval 0: a=20 flows, b=128 flows, 20 common, top-10 overlap 100%, avg rel diff 30.94%
+interval 1: a=22 flows, b=154 flows, 22 common, top-10 overlap 100%, avg rel diff 7.16%
+interval 2: a=22 flows, b=146 flows, 22 common, top-10 overlap 100%, avg rel diff 0.00%
+interval 3: a=22 flows, b=159 flows, 22 common, top-10 overlap 100%, avg rel diff 4.30%
+processed 25202 packets through both sides
+`
+	if got != want {
+		t.Errorf("output:\n%s\nwant:\n%s", got, want)
 	}
 }
 

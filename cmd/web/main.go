@@ -1,7 +1,8 @@
 // Command web serves a live measurement dashboard: it drives a synthetic
-// trace through a stage graph at wall-clock pace, publishes every interval
-// report, telemetry snapshot and A/B comparison onto the event bus, and
-// streams the bus to browsers over Server-Sent Events.
+// trace through a sharded pipeline (or an A/B pair of them) at wall-clock
+// pace, publishes every interval report, telemetry snapshot and A/B
+// comparison onto the event bus, and streams the bus to browsers over
+// Server-Sent Events.
 //
 // Usage:
 //
@@ -10,8 +11,9 @@
 //	web -preset COS -scale 0.1 -tick 2s    # slower pace on a different trace
 //
 // Open http://localhost:8089/ in a browser; /events is the raw SSE feed,
-// /stats.json the full graph snapshot, and the usual /debug/vars,
-// /debug/pprof and /healthz debug endpoints are served alongside.
+// /stats.json every pipeline's snapshot plus the bus counters, and the
+// usual /debug/vars, /debug/pprof and /healthz debug endpoints are served
+// alongside.
 package main
 
 import (
@@ -30,8 +32,9 @@ import (
 	"repro/internal/core/sampleandhold"
 	"repro/internal/debugserver"
 	"repro/internal/flow"
+	"repro/internal/pipeline"
 	"repro/internal/pubsub"
-	"repro/internal/stagegraph"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -111,24 +114,24 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	topo, err := buildTopology(o, names, thBytes, bus)
+	m, err := startMeasurement(o, names, thBytes, bus)
 	if err != nil {
 		return err
 	}
-	g, err := stagegraph.New(stagegraph.Config{Topology: topo})
-	if err != nil {
-		return err
-	}
-	defer g.Close()
+	defer m.Close()
 
 	def := flow.FiveTuple{}
+	stats := func() any { return m.stats(bus) }
 	http.HandleFunc("/", serveIndex)
 	http.HandleFunc("/events", serveEvents(bus, def, o.top))
 	http.HandleFunc("/stats.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(g.Stats()) //nolint:errcheck // best-effort response
+		json.NewEncoder(w).Encode(stats()) //nolint:errcheck // best-effort response
 	})
-	debugserver.RegisterGraph("web", g)
+	debugserver.Publish("web", stats)
+	for name, p := range m.pipes {
+		debugserver.RegisterHealth(name, p.Health)
+	}
 	addr, err := debugserver.Serve(o.listen)
 	if err != nil {
 		return err
@@ -139,61 +142,109 @@ func run(o options) error {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
-	go feed(g, src, meta, o, done)
+	go feed(m, src, meta, o, done)
 	<-stop
 	close(done)
 	fmt.Println("\nweb: shutting down")
 	return nil
 }
 
-// buildTopology assembles the measurement graph: one measure stage per
-// algorithm, an A/B compare stage when there are two, and a bus stage
-// receiving every report and event.
-func buildTopology(o options, names []string, thBytes uint64, bus *pubsub.Bus) (stagegraph.Topology, error) {
-	mkCfg := func(alg string, seed int64) (stagegraph.MeasureConfig, error) {
-		newAlg, err := algFactory(o, alg, thBytes, seed)
+// reportMsg is an interval report tagged with the pipeline that produced
+// it: the payload of the bus's "reports" topic.
+type reportMsg struct {
+	// Node names the pipeline: "measure", or "a"/"b" in an A/B race.
+	Node string `json:"node"`
+	// Report is the merged interval report.
+	Report core.IntervalReport `json:"report"`
+}
+
+// event is the payload of the bus's "events/<kind>" topics: a pipeline's
+// telemetry snapshot or an A/B comparison.
+type event struct {
+	// Node names the emitting pipeline (empty for comparisons).
+	Node string `json:"node"`
+	// Kind tags the payload: "telemetry" or "compare".
+	Kind string `json:"kind"`
+	// Time is when the event was produced.
+	Time time.Time `json:"time"`
+	// Payload is a telemetry.PipelineSnapshot or a pipeline.CompareResult.
+	Payload any `json:"payload"`
+}
+
+// consumer is what feed drives: a *pipeline.Pipeline or a *pipeline.AB.
+type consumer interface {
+	trace.BatchConsumer
+	Close()
+}
+
+// measurement is what the dashboard feeds: one pipeline ("measure"), or an
+// A/B pair ("a", "b") whose reports are compared as each interval closes.
+type measurement struct {
+	consumer
+	// pipes maps each pipeline's node name to it.
+	pipes map[string]*pipeline.Pipeline
+}
+
+// startMeasurement starts the pipelines behind the dashboard and hooks them
+// to the bus: every interval report and telemetry snapshot, and each A/B
+// comparison, is published from the producer goroutine as the interval
+// closes. The bus never blocks a publisher (slow subscribers shed their
+// oldest events), so observers cannot stall the measurement. Every
+// algorithm name is checked before any lane starts.
+func startMeasurement(o options, names []string, thBytes uint64, bus *pubsub.Bus) (*measurement, error) {
+	var cfgs []pipeline.Config
+	for i, name := range names {
+		seed := o.seed + int64(i)
+		newAlg, err := algFactory(o, name, thBytes, seed)
 		if err != nil {
-			return stagegraph.MeasureConfig{}, err
+			return nil, err
 		}
-		return stagegraph.MeasureConfig{
-			Shards:       o.shards,
-			QueueDepth:   256,
-			NewAlgorithm: newAlg,
-			Definition:   flow.FiveTuple{},
-			Seed:         seed,
-		}, nil
+		cfgs = append(cfgs, pipeline.Config{
+			Shards:         o.shards,
+			QueueDepth:     256,
+			NewAlgorithm:   newAlg,
+			Definition:     flow.FiveTuple{},
+			Seed:           seed,
+			DiscardReports: true, // the bus is the only reader
+		})
 	}
-	if len(names) == 1 {
-		cfg, err := mkCfg(names[0], o.seed)
+	m := &measurement{pipes: map[string]*pipeline.Pipeline{}}
+	if len(cfgs) == 1 {
+		p, err := pipeline.New(cfgs[0])
 		if err != nil {
-			return stagegraph.Topology{}, err
+			return nil, err
 		}
-		topo := stagegraph.PresetShardLane(cfg)
-		topo.Nodes = append(topo.Nodes, stagegraph.Node{Name: "bus", Stage: stagegraph.NewBus(bus)})
-		topo.Edges = append(topo.Edges,
-			stagegraph.Edge{From: "measure.reports", To: "bus.reports"},
-			stagegraph.Edge{From: "measure.telemetry", To: "bus.events"},
-		)
-		return topo, nil
+		m.consumer, m.pipes["measure"] = p, p
+	} else {
+		ab, err := pipeline.NewAB(cfgs[0], cfgs[1], o.top)
+		if err != nil {
+			return nil, err
+		}
+		ab.OnCompare = func(r pipeline.CompareResult) {
+			bus.Publish("events/compare", event{Kind: "compare", Time: time.Now(), Payload: r})
+		}
+		m.consumer, m.pipes["a"], m.pipes["b"] = ab, ab.A, ab.B
 	}
-	cfgA, err := mkCfg(names[0], o.seed)
-	if err != nil {
-		return stagegraph.Topology{}, err
+	for name, p := range m.pipes {
+		p.OnReport = func(r core.IntervalReport) {
+			bus.Publish("reports", reportMsg{Node: name, Report: r})
+			bus.Publish("events/telemetry", event{Node: name, Kind: "telemetry", Time: time.Now(), Payload: p.Stats()})
+		}
 	}
-	cfgB, err := mkCfg(names[1], o.seed+1)
-	if err != nil {
-		return stagegraph.Topology{}, err
+	return m, nil
+}
+
+// stats is the /stats.json document: every pipeline's snapshot plus the
+// bus counters.
+func (m *measurement) stats(bus *pubsub.Bus) any {
+	measures := map[string]telemetry.PipelineSnapshot{}
+	for name, p := range m.pipes {
+		measures[name] = p.Stats()
 	}
-	topo := stagegraph.PresetAB(cfgA, cfgB, o.top)
-	topo.Nodes = append(topo.Nodes, stagegraph.Node{Name: "bus", Stage: stagegraph.NewBus(bus)})
-	topo.Edges = append(topo.Edges,
-		stagegraph.Edge{From: "a.reports", To: "bus.reports"},
-		stagegraph.Edge{From: "b.reports", To: "bus.reports"},
-		stagegraph.Edge{From: "a.telemetry", To: "bus.events"},
-		stagegraph.Edge{From: "b.telemetry", To: "bus.events"},
-		stagegraph.Edge{From: "compare.events", To: "bus.events"},
-	)
-	return topo, nil
+	return struct {
+		Measures map[string]telemetry.PipelineSnapshot `json:"measures"`
+		Bus      telemetry.BusSnapshot                 `json:"bus"`
+	}{measures, bus.Stats()}
 }
 
 // algFactory returns the per-shard algorithm constructor for one named
@@ -228,12 +279,12 @@ func algFactory(o options, name string, thBytes uint64, seed int64) (func(int) (
 	}
 }
 
-// feed replays the collected trace through the graph at wall-clock pace:
+// feed replays the collected trace through the measurement at wall-clock pace:
 // each measurement interval's packets are delivered in batches, the
 // interval is closed, and the feeder sleeps one tick. With -loop the trace
 // restarts when it ends; the interval counter keeps increasing so every
 // report stays unique.
-func feed(g *stagegraph.Graph, src *trace.SliceSource, meta trace.Meta, o options, done <-chan struct{}) {
+func feed(m *measurement, src *trace.SliceSource, meta trace.Meta, o options, done <-chan struct{}) {
 	const batch = 256
 	// Partition packets by measurement interval once, up front.
 	byInterval := make([][]flow.Packet, meta.Intervals)
@@ -256,10 +307,10 @@ func feed(g *stagegraph.Graph, src *trace.SliceSource, meta trace.Meta, o option
 				if n > len(pkts) {
 					n = len(pkts)
 				}
-				g.PacketBatch(pkts[:n])
+				m.PacketBatch(pkts[:n])
 				pkts = pkts[n:]
 			}
-			g.EndInterval(interval)
+			m.EndInterval(interval)
 			interval++
 			select {
 			case <-done:

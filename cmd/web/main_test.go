@@ -4,14 +4,15 @@ import (
 	"bufio"
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flow"
+	"repro/internal/pipeline"
 	"repro/internal/pubsub"
-	"repro/internal/stagegraph"
 )
 
 func testOptions() options {
@@ -22,97 +23,88 @@ func testOptions() options {
 	}
 }
 
-// TestBuildTopologySingle: one algorithm yields the preset shard-lane graph
-// plus a bus stage fed by the measure's reports and telemetry.
-func TestBuildTopologySingle(t *testing.T) {
-	bus, err := pubsub.New(pubsub.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := buildTopology(testOptions(), []string{"msf"}, 1000, bus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(topo.Nodes) != 3 || len(topo.Edges) != 3 {
-		t.Fatalf("nodes=%d edges=%d, want 3 and 3", len(topo.Nodes), len(topo.Edges))
-	}
-	g, err := stagegraph.New(stagegraph.Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	sub := bus.Subscribe(0, "reports")
-	p := flow.Packet{Size: 5000, SrcIP: 1, DstIP: 2, Proto: 6}
-	for i := 0; i < 10; i++ {
-		g.Packet(&p)
-	}
-	g.EndInterval(0)
-	select {
-	case e := <-sub.C:
-		rm, ok := e.Payload.(stagegraph.ReportMsg)
-		if !ok {
-			t.Fatalf("payload type %T", e.Payload)
-		}
-		if rm.Node != "measure" || rm.Report.Interval != 0 {
-			t.Errorf("got node %q interval %d", rm.Node, rm.Report.Interval)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no report published on bus")
-	}
-}
-
-// TestBuildTopologyAB: two algorithms yield the A/B preset with compare,
-// every report and event wired into the bus.
-func TestBuildTopologyAB(t *testing.T) {
-	bus, err := pubsub.New(pubsub.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := buildTopology(testOptions(), []string{"msf", "sh"}, 1000, bus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(topo.Nodes) != 5 || len(topo.Edges) != 9 {
-		t.Fatalf("nodes=%d edges=%d, want 5 and 9", len(topo.Nodes), len(topo.Edges))
-	}
-	g, err := stagegraph.New(stagegraph.Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	sub := bus.Subscribe(0, "events/compare")
-	p := flow.Packet{Size: 5000, SrcIP: 1, DstIP: 2, Proto: 6}
-	for i := 0; i < 10; i++ {
-		g.Packet(&p)
-	}
-	g.EndInterval(0)
-	select {
-	case e := <-sub.C:
-		ev, ok := e.Payload.(stagegraph.Event)
-		if !ok {
-			t.Fatalf("payload type %T", e.Payload)
-		}
-		res, ok := ev.Payload.(stagegraph.CompareResult)
-		if !ok {
-			t.Fatalf("event payload type %T", ev.Payload)
-		}
-		if res.Interval != 0 || res.NodeA != "a" || res.NodeB != "b" {
-			t.Errorf("compare result %+v", res)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no compare result published on bus")
+// TestDashboardPublishes drives one pipeline and an A/B pair: every
+// interval must publish one report and one telemetry event per pipeline,
+// tagged with its node name, and with two sides one comparison per
+// interval — all on the bus by the time EndInterval returns.
+func TestDashboardPublishes(t *testing.T) {
+	const intervals = 3
+	for _, tc := range []struct {
+		name  string
+		algs  []string
+		nodes []string
+	}{
+		{"single", []string{"msf"}, []string{"measure"}},
+		{"ab", []string{"msf", "sh"}, []string{"a", "b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus, err := pubsub.New(pubsub.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := bus.Subscribe(0)
+			m, err := startMeasurement(testOptions(), tc.algs, 1000, bus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts := []flow.Packet{{Size: 5000, SrcIP: 1, DstIP: 2, Proto: 6}, {Size: 700, SrcIP: 3, DstIP: 2, Proto: 17}}
+			for iv := 0; iv < intervals; iv++ {
+				m.PacketBatch(pkts)
+				m.EndInterval(iv)
+			}
+			m.Close()
+			bus.Close()
+			counts := map[string]int{}
+			for e := range sub.C {
+				switch p := e.Payload.(type) {
+				case reportMsg:
+					counts[e.Topic+" "+p.Node]++
+					if len(p.Report.Estimates) == 0 {
+						t.Errorf("empty report from %s", p.Node)
+					}
+				case event:
+					counts[e.Topic+" "+p.Node]++
+					if cmp, ok := p.Payload.(pipeline.CompareResult); ok && cmp.FlowsA == 0 {
+						t.Errorf("comparison of an empty report: %+v", cmp)
+					}
+				default:
+					t.Errorf("topic %s carries %T", e.Topic, e.Payload)
+				}
+			}
+			want := map[string]int{}
+			for _, node := range tc.nodes {
+				want["reports "+node] = intervals
+				want["events/telemetry "+node] = intervals
+			}
+			if len(tc.nodes) == 2 {
+				want["events/compare "] = intervals
+			}
+			if !reflect.DeepEqual(counts, want) {
+				t.Errorf("published %v, want %v", counts, want)
+			}
+		})
 	}
 }
 
-// TestBuildTopologyUnknownAlg: a bad algorithm name fails up front, not at
-// first packet.
-func TestBuildTopologyUnknownAlg(t *testing.T) {
+// TestStartMeasurementUnknownAlg: a bad algorithm name — even as the second
+// side — fails up front, not at first packet.
+func TestStartMeasurementUnknownAlg(t *testing.T) {
 	bus, err := pubsub.New(pubsub.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildTopology(testOptions(), []string{"bogus"}, 1000, bus); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	for _, tc := range []struct {
+		name string
+		algs []string
+	}{
+		{"single", []string{"bogus"}},
+		{"second_side", []string{"msf", "bogus"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := startMeasurement(testOptions(), tc.algs, 1000, bus); err == nil || !strings.Contains(err.Error(), "bogus") {
+				t.Errorf("%v: err = %v, want unknown algorithm", tc.algs, err)
+			}
+		})
 	}
 }
 
@@ -123,7 +115,7 @@ func TestRenderPayloadTrimsReports(t *testing.T) {
 	for i := range ests {
 		ests[i] = core.Estimate{Key: flow.Key{Lo: uint64(i)}, Bytes: uint64(1000 - i)}
 	}
-	e := pubsub.Event{Topic: "reports", Payload: stagegraph.ReportMsg{
+	e := pubsub.Event{Topic: "reports", Payload: reportMsg{
 		Node:   "measure",
 		Report: core.IntervalReport{Interval: 3, Estimates: ests, EntriesUsed: 50, Threshold: 77},
 	}}
@@ -177,7 +169,7 @@ func TestServeEventsStreams(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				bus.Publish("events/compare", stagegraph.Event{Kind: "compare"})
+				bus.Publish("events/compare", event{Kind: "compare"})
 				time.Sleep(5 * time.Millisecond)
 			}
 		}

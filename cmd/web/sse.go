@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/pubsub"
-	"repro/internal/stagegraph"
 )
 
 // topFlow is one heavy hitter in a streamed report view.
@@ -55,7 +54,7 @@ func eventName(topic string) string {
 // to their top-K view, everything else (telemetry snapshots, compare
 // results) is already compact and JSON-tagged.
 func renderPayload(e pubsub.Event, def flow.Definition, topK int) any {
-	rm, ok := e.Payload.(stagegraph.ReportMsg)
+	rm, ok := e.Payload.(reportMsg)
 	if !ok {
 		return e.Payload
 	}
@@ -66,7 +65,8 @@ func renderPayload(e pubsub.Event, def flow.Definition, topK int) any {
 		EntriesUsed: rm.Report.EntriesUsed,
 		Threshold:   rm.Report.Threshold,
 	}
-	for _, est := range stagegraph.TopK(rm.Report, topK) {
+	// Reports are sorted descending by bytes, so the top K is the prefix.
+	for _, est := range rm.Report.Estimates[:min(topK, len(rm.Report.Estimates))] {
 		v.Top = append(v.Top, topFlow{Flow: def.Format(est.Key), Bytes: est.Bytes, Exact: est.Exact})
 	}
 	return v

@@ -88,21 +88,6 @@ func serveHealth(w http.ResponseWriter, req *http.Request) {
 	}{overall.String(), components})
 }
 
-// graphLike is the slice of a stage graph the debug endpoints need; taking
-// an interface keeps this package free of a dependency on stagegraph.
-type graphLike interface {
-	Stats() telemetry.GraphSnapshot
-	Health() (telemetry.HealthStatus, string)
-}
-
-// RegisterGraph exposes a stage graph under name: its full snapshot
-// (per-stage supervision counters, every measure engine, bus counters) on
-// /debug/vars and its aggregated health on /healthz.
-func RegisterGraph(name string, g graphLike) {
-	Publish(name, func() any { return g.Stats() })
-	RegisterHealth(name, g.Health)
-}
-
 // Serve binds addr and serves /debug/vars, /debug/pprof and /healthz in a
 // background goroutine for the life of the process. It returns the bound
 // address, so addr may use port 0 to pick a free port.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/adapt"
@@ -107,13 +108,18 @@ func (r AdaptStudyResult) Converged(name string, slack float64) bool {
 	return final >= r.Target*100-slack && final <= 100
 }
 
-// Format renders the trajectories.
+// Format renders the trajectories, sorted by name so the text is stable.
 func (r AdaptStudyResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Threshold adaptation (Figure 5 algorithm), target usage %.0f%%\n", r.Target*100)
-	for name, tr := range r.Trajectories {
+	names := make([]string, 0, len(r.Trajectories))
+	for name := range r.Trajectories {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		fmt.Fprintf(&b, "%s:\n", name)
-		for _, p := range tr {
+		for _, p := range r.Trajectories[name] {
 			fmt.Fprintf(&b, "  interval %2d: threshold %12d bytes, usage %5.1f%%\n",
 				p.Interval, p.Threshold, p.UsagePct)
 		}

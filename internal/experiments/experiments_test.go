@@ -286,6 +286,24 @@ func TestAdaptStudyConverges(t *testing.T) {
 	}
 }
 
+// TestAdaptStudyFormatStable: Format must not depend on map iteration
+// order — the trajectories print sorted by name, every time.
+func TestAdaptStudyFormatStable(t *testing.T) {
+	res := AdaptStudyResult{Target: 0.9, Trajectories: map[string][]AdaptPoint{
+		"sample-and-hold":   {{Interval: 0, Threshold: 100, UsagePct: 50}},
+		"multistage-filter": {{Interval: 0, Threshold: 200, UsagePct: 60}},
+	}}
+	first := res.Format()
+	for i := 0; i < 20; i++ {
+		if got := res.Format(); got != first {
+			t.Fatalf("format %d differs:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+	if strings.Index(first, "multistage-filter:") > strings.Index(first, "sample-and-hold:") {
+		t.Errorf("trajectories not sorted by name:\n%s", first)
+	}
+}
+
 func TestCompareSketches(t *testing.T) {
 	o := tinyOpts()
 	o.Intervals = 4

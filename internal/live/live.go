@@ -20,7 +20,7 @@ import (
 // Config configures a Runner.
 type Config struct {
 	// Consumer receives packets and interval boundaries (typically a
-	// *device.Device, *device.Multi, a pipeline or a stage graph).
+	// *device.Device, *device.Multi or a pipeline).
 	Consumer trace.Consumer
 	// Interval is the default wall-clock interval length used when Run is
 	// called with a zero interval. Optional: zero means Run's argument is

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,21 +50,39 @@ func testTrace(nFlows, pkts int, intervals int) (*trace.SliceSource, trace.Meta)
 	return trace.NewSliceSource(meta, ps), meta
 }
 
+// TestConfigValidate rejects each invalid field on its own, naming the
+// field in the module-wide cfgerr shape "traffic: pipeline: <field>: ...".
 func TestConfigValidate(t *testing.T) {
 	good := Config{Shards: 4, QueueDepth: 64, NewAlgorithm: shConfig(16), Definition: flow.FiveTuple{}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
-	bad := []Config{
-		{Shards: 0, QueueDepth: 1, NewAlgorithm: shConfig(1), Definition: flow.FiveTuple{}},
-		{Shards: 1, QueueDepth: 0, NewAlgorithm: shConfig(1), Definition: flow.FiveTuple{}},
-		{Shards: 1, QueueDepth: 1, Definition: flow.FiveTuple{}},
-		{Shards: 1, QueueDepth: 1, NewAlgorithm: shConfig(1)},
-	}
-	for i, cfg := range bad {
-		if cfg.Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Shards", func(c *Config) { c.Shards = 0 }},
+		{"QueueDepth", func(c *Config) { c.QueueDepth = 0 }},
+		{"BatchSize", func(c *Config) { c.BatchSize = -1 }},
+		{"Overload", func(c *Config) { c.Overload = Degrade + 1 }},
+		{"DegradeFraction", func(c *Config) { c.DegradeFraction = 1 }},
+		{"NewAlgorithm", func(c *Config) { c.NewAlgorithm = nil }},
+		{"Definition", func(c *Config) { c.Definition = nil }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := good
+			tc.mut(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if prefix := "traffic: pipeline: " + tc.field + ": "; !strings.HasPrefix(err.Error(), prefix) {
+				t.Errorf("error %q, want prefix %q", err, prefix)
+			}
+			if _, err := New(cfg); err == nil {
+				t.Error("New accepted it")
+			}
+		})
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New with zero config succeeded")

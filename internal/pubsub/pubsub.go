@@ -1,7 +1,7 @@
-// Package pubsub is the in-process event bus behind the live ops plane: a
-// stage graph publishes interval reports, telemetry snapshots and comparison
-// results as topic-tagged events, and observers (the cmd/web SSE dashboard,
-// tests, ad-hoc tooling) subscribe to the topics they care about.
+// Package pubsub is the in-process event bus behind the live dashboard:
+// pipeline hooks publish interval reports, telemetry snapshots and
+// comparison results as topic-tagged events, and observers (the cmd/web SSE
+// dashboard, tests, ad-hoc tooling) subscribe to the topics they care about.
 //
 // The bus never blocks a publisher: every subscription has a bounded queue
 // and a slow subscriber loses its *oldest* queued events first (the same

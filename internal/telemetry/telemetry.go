@@ -720,3 +720,15 @@ type RunnerSnapshot struct {
 	// LastTick is when the most recent interval closed (zero if none).
 	LastTick time.Time `json:"last_tick"`
 }
+
+// BusSnapshot is a point-in-time copy of an event bus's counters.
+type BusSnapshot struct {
+	// Subscribers is the number of live subscriptions.
+	Subscribers int `json:"subscribers"`
+	// Published counts events offered to the bus; Delivered counts
+	// per-subscription deliveries; Dropped counts events slow subscribers
+	// lost to queue overflow.
+	Published uint64 `json:"published"`
+	Delivered uint64 `json:"delivered"`
+	Dropped   uint64 `json:"dropped"`
+}

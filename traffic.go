@@ -58,10 +58,8 @@ import (
 	"repro/internal/live"
 	"repro/internal/netflow"
 	"repro/internal/pipeline"
-	"repro/internal/pubsub"
 	"repro/internal/sampling"
 	"repro/internal/sketch"
-	"repro/internal/stagegraph"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -308,7 +306,7 @@ type PipelineConfig = pipeline.Config
 // Pipeline shards packets across parallel algorithm instances by flow, the
 // way a multi-queue NIC shards across cores, and merges interval reports.
 // Packets are handed to lanes in batches (PipelineConfig.BatchSize), one
-// channel operation per batch. Lane workers are supervised: a panicking
+// ring handoff per batch. Lane workers are supervised: a panicking
 // algorithm is quarantined (or restarted with
 // PipelineConfig.RestartOnPanic) and the pipeline keeps serving.
 type Pipeline = pipeline.Pipeline
@@ -336,158 +334,8 @@ func OverloadPolicyByName(name string) (OverloadPolicy, error) {
 	return pipeline.OverloadPolicyByName(name)
 }
 
-// PipelineOption customizes a Pipeline beyond its configuration.
-type PipelineOption = pipeline.Option
-
 // NewPipeline builds and starts a sharded pipeline; Close it when done.
-func NewPipeline(cfg PipelineConfig, opts ...PipelineOption) (*Pipeline, error) {
-	return pipeline.New(cfg, opts...)
-}
-
-// ---- Stage graph ----
-//
-// The composable pipeline: measurement topologies are data. A Topology
-// declares named stages with typed ports (packets, reports, events) and the
-// edges between them; NewStageGraph validates it, compiles the packet plane
-// into the same fused hot path the fixed Pipeline uses, and supervises
-// every asynchronous stage (restart with backoff, quarantine). Fan one
-// stream out to two algorithms and compare them per interval, branch per
-// tenant behind filters, publish reports and telemetry onto an event bus
-// for the cmd/web live dashboard.
-
-// Stage is a node implementation in a measurement topology.
-type Stage = stagegraph.Stage
-
-// Port is one named, typed stage input or output.
-type Port = stagegraph.Port
-
-// PortType is the message type a port carries.
-type PortType = stagegraph.PortType
-
-// The port types: the synchronous packet plane and the asynchronous report
-// and event (ops) planes.
-const (
-	PacketPort = stagegraph.PacketPort
-	ReportPort = stagegraph.ReportPort
-	EventPort  = stagegraph.EventPort
-)
-
-// Topology is a declarative stage graph: named nodes plus "node.port"
-// edges.
-type Topology = stagegraph.Topology
-
-// GraphNode binds a topology name to a stage.
-type GraphNode = stagegraph.Node
-
-// GraphEdge connects an output port to an input port ("node.port"; the
-// port may be omitted when unambiguous).
-type GraphEdge = stagegraph.Edge
-
-// StageGraphConfig configures a compiled stage graph: the topology plus the
-// async plane's queue depth and supervision (restart/backoff/quarantine)
-// parameters.
-type StageGraphConfig = stagegraph.Config
-
-// StageGraphOption customizes a stage graph beyond its configuration.
-type StageGraphOption = stagegraph.Option
-
-// StageGraph is a running compiled topology; it is a Consumer (feed it with
-// Replay or a LiveRunner) with per-node Reports and graph-wide Stats.
-type StageGraph = stagegraph.Graph
-
-// NewStageGraph validates, compiles and starts a topology; Close it when
-// done.
-func NewStageGraph(cfg StageGraphConfig, opts ...StageGraphOption) (*StageGraph, error) {
-	return stagegraph.New(cfg, opts...)
-}
-
-// MeasureConfig configures a measure stage — the sharded lane engine; it is
-// the same configuration a fixed Pipeline takes.
-type MeasureConfig = stagegraph.MeasureConfig
-
-// MeasureStage is the sharded measurement engine as a graph stage.
-type MeasureStage = stagegraph.Measure
-
-// NewMeasureStage builds a measure stage for a topology; the configuration
-// is validated when the graph is compiled.
-func NewMeasureStage(cfg MeasureConfig) *MeasureStage { return stagegraph.NewMeasure(cfg) }
-
-// NewSourceStage builds the packet entry-point marker; every topology has
-// exactly one.
-func NewSourceStage() Stage { return stagegraph.NewSource() }
-
-// NewFilterStage builds a packet-plane stage keeping packets matching pred
-// (per-tenant branches).
-func NewFilterStage(pred func(*Packet) bool) Stage { return stagegraph.NewFilter(pred) }
-
-// NewSampleStage builds a packet-plane stage keeping each packet with the
-// given probability (deterministic per seed).
-func NewSampleStage(fraction float64, seed int64) Stage {
-	return stagegraph.NewSample(fraction, seed)
-}
-
-// NewCompareStage builds an ops-plane stage pairing the interval reports of
-// two measure nodes and scoring their agreement (top-k overlap, relative
-// estimate differences).
-func NewCompareStage(topK int) Stage { return stagegraph.NewCompare(topK) }
-
-// StageReport is an interval report tagged with the measure node that
-// produced it — the message type on report edges and the bus's "reports"
-// topic.
-type StageReport = stagegraph.ReportMsg
-
-// StageEvent is an ops-plane event (telemetry snapshots, comparison
-// results) — the message type on event edges and the bus's "events/<kind>"
-// topics.
-type StageEvent = stagegraph.Event
-
-// NewExportStage builds an ops-plane sink handing each interval report to
-// fn; errors are supervised failures (restart with backoff, then
-// quarantine).
-func NewExportStage(fn func(StageReport) error) Stage { return stagegraph.NewExport(fn) }
-
-// NewBusStage builds an ops-plane stage publishing reports (topic
-// "reports") and events ("events/<kind>") onto bus.
-func NewBusStage(bus *EventBus) Stage { return stagegraph.NewBus(bus) }
-
-// PresetShardLane is the fixed shard→lane pipeline as a topology; NewPipeline
-// is shorthand for compiling exactly this graph.
-func PresetShardLane(cfg MeasureConfig) Topology { return stagegraph.PresetShardLane(cfg) }
-
-// PresetAB races two measure configurations on the same packet stream and
-// wires their reports into a compare stage ("a", "b", "compare").
-func PresetAB(a, b MeasureConfig, topK int) Topology { return stagegraph.PresetAB(a, b, topK) }
-
-// CompareResult is the per-interval outcome of an A/B comparison.
-type CompareResult = stagegraph.CompareResult
-
-// GraphStats is a stage graph's snapshot: per-stage supervision and message
-// counters, every measure engine's PipelineStats, and the event bus
-// counters. Read it with StageGraph.Stats.
-type GraphStats = telemetry.GraphSnapshot
-
-// StageStats is one graph node's counters.
-type StageStats = telemetry.StageSnapshot
-
-// ---- Event bus ----
-
-// EventBusConfig configures an EventBus.
-type EventBusConfig = pubsub.Config
-
-// EventBus is the in-process publish/subscribe bus behind the live ops
-// plane: a bus stage publishes interval reports and telemetry, observers
-// (the cmd/web dashboard, tests) subscribe. Publishing never blocks; slow
-// subscribers lose their oldest events, counted.
-type EventBus = pubsub.Bus
-
-// BusEvent is one published bus event.
-type BusEvent = pubsub.Event
-
-// BusStats is an event bus's counters. Read it with EventBus.Stats.
-type BusStats = telemetry.BusSnapshot
-
-// NewEventBus builds an event bus.
-func NewEventBus(cfg EventBusConfig) (*EventBus, error) { return pubsub.New(cfg) }
+func NewPipeline(cfg PipelineConfig) (*Pipeline, error) { return pipeline.New(cfg) }
 
 // LeakyBucket is the alternative large-flow definition from the paper's
 // technical report: a flow is large when it violates a (rate, burst)
