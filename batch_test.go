@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"repro/internal/adapt"
+	"repro/internal/trace"
 )
 
 // collectTrace generates a scaled preset trace and returns it as replayable
@@ -96,7 +99,7 @@ func TestBatchedReplayEquivalenceMultistage(t *testing.T) {
 		// 37 does not divide the interval packet counts, so partial-batch
 		// flushing at boundaries is exercised on every interval.
 		requireSameReports(t, label, perPacket, run(37))
-		requireSameReports(t, label+" (default batch)", perPacket, run(DefaultBatchSize))
+		requireSameReports(t, label+" (default batch)", perPacket, run(trace.DefaultBatchSize))
 	}
 }
 
@@ -126,7 +129,7 @@ func TestBatchedReplayEquivalenceHashFamilies(t *testing.T) {
 		}
 		perPacket := run(1)
 		requireSameReports(t, hash, perPacket, run(37))
-		requireSameReports(t, hash+" (default batch)", perPacket, run(DefaultBatchSize))
+		requireSameReports(t, hash+" (default batch)", perPacket, run(trace.DefaultBatchSize))
 	}
 }
 
@@ -148,7 +151,7 @@ func TestBatchedReplayEquivalenceSampleAndHold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev := NewDevice(alg, FiveTuple, NewAdaptor(SampleAndHoldAdaptation()))
+			dev := NewDevice(alg, FiveTuple, NewAdaptor(adapt.SampleAndHoldDefaults()))
 			if _, err := Replay(NewSliceSource(meta, pkts), dev, WithBatchSize(batchSize)); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -156,7 +159,7 @@ func TestBatchedReplayEquivalenceSampleAndHold(t *testing.T) {
 		}
 		perPacket := run(1)
 		requireSameReports(t, label, perPacket, run(53))
-		requireSameReports(t, label+" (default batch)", perPacket, run(DefaultBatchSize))
+		requireSameReports(t, label+" (default batch)", perPacket, run(trace.DefaultBatchSize))
 	}
 }
 

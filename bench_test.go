@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core/flowmem"
 	"repro/internal/experiments"
+	"repro/internal/trace"
 )
 
 // benchOpts keeps per-iteration cost low; shapes (who wins, by what factor)
@@ -173,16 +174,6 @@ func BenchmarkSampledNetFlowPerPacket(b *testing.B) {
 	benchPackets(b, alg)
 }
 
-func BenchmarkOrdinarySamplingPerPacket(b *testing.B) {
-	alg, err := NewOrdinarySampling(OrdinarySamplingConfig{
-		Entries: 4096, Probability: 1.0 / 16, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPackets(b, alg)
-}
-
 // ---- Batched hot path: per-packet vs. batched pipeline on the COS preset ----
 
 // benchCOSPackets generates the scaled COS trace once per benchmark and
@@ -261,7 +252,7 @@ func BenchmarkReplayPipelinePerPacket(b *testing.B) {
 // reads, bulk key extraction, per-lane batch buffering (one channel op per
 // 64 packets) and the algorithms' batched kernels.
 func BenchmarkReplayBatched(b *testing.B) {
-	benchReplayPipeline(b, 4, "", 64, DefaultBatchSize)
+	benchReplayPipeline(b, 4, "", 64, trace.DefaultBatchSize)
 }
 
 // BenchmarkReplayBatchedSingleShard is the fused kernel's intended

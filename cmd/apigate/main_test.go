@@ -1,9 +1,14 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -129,7 +134,7 @@ func TestExtractFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) < 50 {
+	if len(lines) < 40 {
 		t.Fatalf("facade API has %d lines, expected a substantial surface", len(lines))
 	}
 	wantAnchors := []string{
@@ -145,5 +150,141 @@ func TestExtractFacade(t *testing.T) {
 		if !have[a] {
 			t.Errorf("facade API missing anchor %q", a)
 		}
+	}
+}
+
+// TestFacadeEntriesHaveCallers holds the facade to what its callers use: an
+// entry stays only if a non-test program under examples/, bench/ or cmd/
+// names it as traffic.X, or if its name appears in the API line of an entry
+// that stays (a parameter or result type, say). Fields and methods stay with
+// their type. Every other entry is an orphan and fails the test.
+func TestFacadeEntriesHaveCallers(t *testing.T) {
+	lines, err := extract("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, dir := range []string{"examples", "bench", "cmd"} {
+		if err := facadeSelectors(filepath.Join("../..", dir), used); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range facadeOrphans(lines, used) {
+		t.Errorf("facade entry %q has no caller under examples/, bench/ or cmd/", l)
+	}
+}
+
+// facadeSelectors adds to used every X that a non-test Go file under root
+// selects as traffic.X, where traffic is the file's name for package repro.
+func facadeSelectors(root string, used map[string]bool) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				local = "traffic"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+}
+
+// facadeOrphans applies the caller rule to API lines as extract renders
+// them and returns the lines of the entries it does not keep.
+func facadeOrphans(lines []string, used map[string]bool) []string {
+	owner := make([]string, len(lines)) // the name an entry stays or goes with
+	for i, l := range lines {
+		owner[i] = apiLineName(l)
+	}
+	keep := map[string]bool{}
+	for grew := true; grew; {
+		grew = false
+		for i, l := range lines {
+			name := owner[i]
+			if keep[name] || !used[name] {
+				continue
+			}
+			keep[name] = true
+			grew = true
+			for _, m := range facadeIdent.FindAllStringSubmatch(l, -1) {
+				used[m[1]] = true
+			}
+		}
+	}
+	var orphans []string
+	for i, l := range lines {
+		if !keep[owner[i]] {
+			orphans = append(orphans, l)
+		}
+	}
+	return orphans
+}
+
+// facadeIdent matches an exported identifier not qualified by a package, so
+// "accounting.Params" in an alias line names nothing in the facade.
+var facadeIdent = regexp.MustCompile(`(?:^|[^.\w])([A-Z]\w*)`)
+
+// apiLineName returns the facade name an API line belongs to: the declared
+// name, or for a field or method line its type's name.
+func apiLineName(line string) string {
+	f := strings.Fields(line)
+	name := f[1]
+	switch f[0] {
+	case "method":
+		name = strings.Trim(name, "(*)")
+	case "field", "ifacemethod":
+		name = name[:strings.IndexByte(name, '.')]
+	}
+	if i := strings.IndexAny(name, "(["); i >= 0 {
+		name = name[:i]
+	}
+	return name
+}
+
+// TestFacadeOrphanRule pins the rule on a synthetic surface: a used entry
+// keeps the facade types named in its line, fields go with their type, and
+// a package-qualified name keeps nothing.
+func TestFacadeOrphanRule(t *testing.T) {
+	lines := []string{
+		"func NewThing(Config) (*Thing, error)",
+		"type Config struct",
+		"field Config.Size int",
+		"type Thing = inner.Thing",
+		"type Params = other.Config",
+		"type Unused struct",
+		"field Unused.N int",
+		"func Helper() Unused",
+		"method (*Spare) Run() error",
+	}
+	got := facadeOrphans(lines, map[string]bool{"NewThing": true})
+	want := []string{
+		"type Params = other.Config",
+		"type Unused struct",
+		"field Unused.N int",
+		"func Helper() Unused",
+		"method (*Spare) Run() error",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("orphans = %v, want %v", got, want)
 	}
 }

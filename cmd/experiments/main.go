@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -70,7 +71,7 @@ func run(names []string, o experiments.Options, cpuprofile, memprofile string) e
 		defer pprof.StopCPUProfile()
 	}
 	for _, name := range names {
-		if err := runOne(name, o); err != nil {
+		if err := runOne(os.Stdout, name, o); err != nil {
 			return err
 		}
 	}
@@ -93,84 +94,84 @@ var allExperiments = []string{
 	"table5", "table6", "table7", "adapt", "gaps", "ablations", "sketches",
 }
 
-func runOne(name string, o experiments.Options) error {
+func runOne(w io.Writer, name string, o experiments.Options) error {
 	start := time.Now()
 	switch name {
 	case "all":
 		for _, n := range allExperiments {
-			if err := runOne(n, o); err != nil {
+			if err := runOne(w, n, o); err != nil {
 				return err
 			}
 		}
 		return nil
 	case "table1":
-		fmt.Println(experiments.Table1(0, 0, 0, 0, 0).Format())
+		fmt.Fprintln(w, experiments.Table1(0, 0, 0, 0, 0).Format())
 	case "table2":
 		res, err := experiments.Table2(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "table3":
 		res, err := experiments.Table3(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "figure6":
 		res, err := experiments.Figure6(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "table4":
 		res, err := experiments.Table4(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "figure7":
 		res, err := experiments.Figure7(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "table5", "table6", "table7":
 		def := map[string]string{"table5": "5-tuple", "table6": "dstIP", "table7": "ASpair"}[name]
 		res, err := experiments.CompareDevices(def, o)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (paper %s):\n%s\n", name, def, res.Format())
+		fmt.Fprintf(w, "%s (paper %s):\n%s\n", name, def, res.Format())
 	case "adapt":
 		res, err := experiments.AdaptStudy(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "gaps":
 		res, err := experiments.GapStudy(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "sketches":
 		res, err := experiments.CompareSketches(o)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	case "ablations":
 		studies, err := experiments.Ablations(o)
 		if err != nil {
 			return err
 		}
 		for _, s := range studies {
-			fmt.Println(s.Format())
+			fmt.Fprintln(w, s.Format())
 		}
 	default:
 		return fmt.Errorf("unknown experiment %q (want one of %v)", name, append([]string{"all"}, allExperiments...))
 	}
-	fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -43,7 +43,6 @@ type options struct {
 	defName     string
 	threshold   float64
 	entries     int
-	maxEntries  int
 	stages      int
 	buckets     int
 	hash        string
@@ -85,7 +84,6 @@ func main() {
 	flag.StringVar(&o.defName, "def", "5-tuple", "flow definition: 5-tuple, dstIP, ASpair")
 	flag.Float64Var(&o.threshold, "threshold", 0.001, "large-flow threshold as a fraction of link capacity")
 	flag.IntVar(&o.entries, "entries", 1024, "flow memory entries")
-	flag.IntVar(&o.maxEntries, "max-entries", 0, "hard cap on flow memory entries (0 = no cap beyond -entries)")
 	flag.IntVar(&o.stages, "stages", 4, "filter stages (msf)")
 	flag.IntVar(&o.buckets, "buckets", 1024, "counters per stage (msf)")
 	flag.StringVar(&o.hash, "hash", "", "stage hash family (msf): tabulation (default), multiplyshift, doublehash")
@@ -224,7 +222,6 @@ func run(o options) error {
 		case "sh":
 			alg, err = sampleandhold.New(sampleandhold.Config{
 				Entries:      o.entries,
-				MaxEntries:   o.maxEntries,
 				Threshold:    thBytes,
 				Oversampling: o.oversamp,
 				Preserve:     true,
@@ -239,7 +236,6 @@ func run(o options) error {
 				Stages:       o.stages,
 				Buckets:      o.buckets,
 				Entries:      o.entries,
-				MaxEntries:   o.maxEntries,
 				Threshold:    thBytes,
 				Conservative: true,
 				Shield:       true,

@@ -43,7 +43,7 @@ func TestRunSharded(t *testing.T) {
 		o := testOptions("sh", "5-tuple", "COS", 0.05, 2)
 		o.shards = 2
 		o.overload = policy
-		o.maxEntries = 32
+		o.entries = 32
 		if err := run(o); err != nil {
 			t.Errorf("policy %v: %v", policy, err)
 		}

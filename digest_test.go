@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"io"
 	"testing"
+
+	"repro/internal/adapt"
 )
 
 // reportDigest hashes every field of every interval report in order, so any
@@ -159,7 +161,7 @@ func TestReportDigests(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return device(alg, SampleAndHoldAdaptation(), 256)
+			return device(alg, adapt.SampleAndHoldDefaults(), 256)
 		}, "4869f2102d07308ff2615fa053e150c375b8ca26878aac5b3bf8a367179bc8fa"},
 	}
 	for _, c := range cases {

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakybucket"
 	"repro/internal/netflow"
+	"repro/internal/sketch"
 )
 
 // TestFullSystemIntegration drives the entire system end to end through
@@ -128,15 +130,17 @@ func TestFullSystemIntegration(t *testing.T) {
 	}
 }
 
-// TestPublicAPISketchesAndLeakyBucket covers the extension facade.
+// TestPublicAPISketchesAndLeakyBucket covers the algorithms beyond the
+// paper that sit behind no facade entry: the Count-Min and Space-Saving
+// baselines and the leaky-bucket large-flow detector.
 func TestPublicAPISketchesAndLeakyBucket(t *testing.T) {
-	cm, err := NewCountMin(CountMinConfig{
+	cm, err := sketch.NewCountMin(sketch.CountMinConfig{
 		Rows: 3, Columns: 128, Entries: 32, Threshold: 5000, Conservative: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewSpaceSaving(SpaceSavingConfig{Entries: 32})
+	ss, err := sketch.NewSpaceSaving(sketch.SpaceSavingConfig{Entries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +163,8 @@ func TestPublicAPISketchesAndLeakyBucket(t *testing.T) {
 		}
 	}
 
-	det, err := NewLeakyBucketDetector(LeakyBucketDetectorConfig{
-		Descriptor: LeakyBucket{Rate: 1000, Burst: 2000},
+	det, err := leakybucket.NewDetector(leakybucket.Config{
+		Descriptor: leakybucket.Descriptor{Rate: 1000, Burst: 2000},
 		Stages:     2,
 		Buckets:    16,
 	})
@@ -173,35 +177,5 @@ func TestPublicAPISketchesAndLeakyBucket(t *testing.T) {
 	}
 	if !flagged {
 		t.Error("leaky bucket detector missed a 50 kB/s flow against a 1 kB/s descriptor")
-	}
-}
-
-// TestPublicAPILiveMultiDevice exercises the live runner with two parallel
-// flow definitions over the same feed.
-func TestPublicAPILiveMultiDevice(t *testing.T) {
-	mk := func(def FlowDefinition) *Device {
-		alg, err := NewSampleAndHold(SampleAndHoldConfig{
-			Entries: 64, Threshold: 10, Oversampling: 10, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewDevice(alg, def, nil)
-	}
-	d5, dIP := mk(FiveTuple), mk(DstIP)
-	runner := NewLiveRunner(NewMultiDevice(d5, dIP))
-	for i := 0; i < 10; i++ {
-		p := Packet{Size: 100, SrcIP: uint32(i % 2), DstIP: 7, DstPort: 80, Proto: 6}
-		runner.Packet(&p)
-	}
-	runner.Tick()
-	if got := len(d5.Reports()[0].Estimates); got != 2 {
-		t.Errorf("5-tuple flows = %d, want 2", got)
-	}
-	if got := len(dIP.Reports()[0].Estimates); got != 1 {
-		t.Errorf("dstIP flows = %d, want 1 (aggregated)", got)
-	}
-	if dIP.Reports()[0].Estimates[0].Bytes != 1000 {
-		t.Error("dstIP aggregation lost bytes")
 	}
 }

@@ -278,3 +278,16 @@ func TestShieldedStageStrength(t *testing.T) {
 		t.Errorf("shielded bound %g not below base %g", shielded, base)
 	}
 }
+
+// TestTable1OrdinarySamplingScaling: ordinary sampling's error falls only
+// as the square root of its memory, while sample and hold's falls linearly,
+// so quadrupling the memory halves one and quarters the other. Its memory
+// accesses are the sampling rate 1/x whatever the memory.
+func TestTable1OrdinarySamplingScaling(t *testing.T) {
+	small := Table1(1000, 0.01, 100000, 1, 16)
+	large := Table1(4000, 0.01, 100000, 1, 16)
+	approx(t, "sampling error ratio", small[2].RelativeError/large[2].RelativeError, 2, 1e-9)
+	approx(t, "S&H error ratio", small[0].RelativeError/large[0].RelativeError, 4, 1e-9)
+	approx(t, "sampling accesses", large[2].MemoryAccesses, small[2].MemoryAccesses, 1e-9)
+	approx(t, "sampling accesses at x=100", Table1(1000, 0.01, 100000, 1, 100)[2].MemoryAccesses, 0.01, 1e-9)
+}

@@ -163,9 +163,9 @@ func Snapshot(alg Algorithm) telemetry.AlgorithmSnapshot {
 }
 
 // IntervalReport is a measurement device's output for one interval. It
-// lives in core so that single devices, sharded pipelines and live runners
-// can all expose the same report type with the same ordering guarantees
-// (estimates sorted by descending bytes, ties by descending key).
+// lives in core so that single devices and sharded pipelines expose the
+// same report type with the same ordering guarantees (estimates sorted by
+// descending bytes, ties by descending key).
 type IntervalReport struct {
 	// Interval is the zero-based measurement interval index.
 	Interval int

@@ -18,8 +18,8 @@ import (
 )
 
 // IntervalReport is the device's output for one measurement interval. It is
-// the shared core.IntervalReport: pipelines and live runners report the
-// same type with the same ordering guarantees.
+// the shared core.IntervalReport: pipelines report the same type with the
+// same ordering guarantees.
 type IntervalReport = core.IntervalReport
 
 // Device drives an algorithm over a packet stream.

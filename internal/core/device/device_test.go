@@ -9,6 +9,7 @@ import (
 	"repro/internal/core/multistage"
 	"repro/internal/core/sampleandhold"
 	"repro/internal/flow"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -247,5 +248,138 @@ func testDevicePacketBatch(t *testing.T, shim bool) {
 		if a.Estimates[i] != b.Estimates[i] {
 			t.Fatalf("estimate %d: %+v vs %+v", i, a.Estimates[i], b.Estimates[i])
 		}
+	}
+}
+
+// newExactDevice returns a device over sample and hold with byte sampling
+// probability 1, so every packet is held and estimates are exact.
+func newExactDevice(t *testing.T, entries int) *Device {
+	t.Helper()
+	alg, err := sampleandhold.New(sampleandhold.Config{
+		Entries: entries, Threshold: 10, Oversampling: 10, Seed: 1, // p = 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(alg, flow.FiveTuple{}, nil)
+}
+
+// TestDeviceIntervalsSplitTraffic: each packet is counted in the interval it
+// arrived in, and Stats counts the reports and packets.
+func TestDeviceIntervalsSplitTraffic(t *testing.T) {
+	d := newExactDevice(t, 64)
+	p := flow.Packet{Size: 100, SrcIP: 1, DstIP: 2, Proto: 6}
+	d.Packet(&p)
+	d.Packet(&p)
+	d.EndInterval(0)
+	d.Packet(&p)
+	d.EndInterval(1)
+	reports := d.Reports()
+	if len(reports) != 2 {
+		t.Fatalf("reports = %d, want 2", len(reports))
+	}
+	for i, want := range []uint64{200, 100} {
+		if reports[i].Interval != i || len(reports[i].Estimates) != 1 || reports[i].Estimates[0].Bytes != want {
+			t.Errorf("interval %d report = %+v, want one flow of %d bytes", i, reports[i], want)
+		}
+	}
+	s := d.Stats()
+	if s.Reports != 2 || s.Algorithm.Packets != 3 || s.Algorithm.Bytes != 300 {
+		t.Errorf("stats: reports %d packets %d bytes %d, want 2, 3, 300",
+			s.Reports, s.Algorithm.Packets, s.Algorithm.Bytes)
+	}
+	if s.Definition != d.Definition().Name() {
+		t.Errorf("stats definition = %q", s.Definition)
+	}
+}
+
+// TestDeviceEmptyIntervalReport: an interval without packets still yields a
+// numbered, empty report.
+func TestDeviceEmptyIntervalReport(t *testing.T) {
+	d := newExactDevice(t, 64)
+	d.EndInterval(0)
+	reports := d.Reports()
+	if len(reports) != 1 || reports[0].Interval != 0 || len(reports[0].Estimates) != 0 {
+		t.Fatalf("reports = %+v, want one empty report for interval 0", reports)
+	}
+	if got := d.Stats().Reports; got != 1 {
+		t.Errorf("stats reports = %d, want 1", got)
+	}
+}
+
+// TestDeviceStatsCountsUnkeptReports: with KeepReports off the device stores
+// nothing, but Stats still counts every report produced.
+func TestDeviceStatsCountsUnkeptReports(t *testing.T) {
+	d := newExactDevice(t, 64)
+	d.KeepReports = false
+	p := flow.Packet{Size: 100, SrcIP: 1, DstIP: 2, Proto: 6}
+	for iv := 0; iv < 3; iv++ {
+		d.Packet(&p)
+		d.EndInterval(iv)
+	}
+	if d.Reports() != nil {
+		t.Error("KeepReports=false still accumulated reports")
+	}
+	if got := d.Stats().Reports; got != 3 {
+		t.Errorf("stats reports = %d, want 3", got)
+	}
+}
+
+// TestDeviceHealthDegradesOnRejection: a flow memory that refuses an entry
+// grades the device degraded and names the rejection count.
+func TestDeviceHealthDegradesOnRejection(t *testing.T) {
+	d := newExactDevice(t, 1)
+	if st, reason := d.Stats().Health(); st != telemetry.HealthOK {
+		t.Fatalf("idle device graded %v (%q)", st, reason)
+	}
+	for src := uint32(1); src <= 2; src++ {
+		p := flow.Packet{Size: 100, SrcIP: src, DstIP: 2, Proto: 6}
+		d.Packet(&p)
+	}
+	st, reason := d.Stats().Health()
+	if st != telemetry.HealthDegraded || reason != "flow memory rejected 1 entries" {
+		t.Errorf("full device graded %v (%q), want degraded by 1 rejection", st, reason)
+	}
+}
+
+// TestDeviceStatsDuringTraffic: Stats may be read from another goroutine
+// while packets and interval boundaries are processed, and every byte lands
+// in exactly one interval report.
+func TestDeviceStatsDuringTraffic(t *testing.T) {
+	d := newExactDevice(t, 64)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = d.Stats()
+			}
+		}
+	}()
+	const intervals, perInterval = 4, 250
+	for iv := 0; iv < intervals; iv++ {
+		for i := 0; i < perInterval; i++ {
+			p := flow.Packet{Size: 100, SrcIP: uint32(i % 4), DstIP: 2, Proto: 6}
+			d.Packet(&p)
+		}
+		d.EndInterval(iv)
+	}
+	close(stop)
+	<-done
+	var total uint64
+	for _, r := range d.Reports() {
+		for _, e := range r.Estimates {
+			total += e.Bytes
+		}
+	}
+	if total != intervals*perInterval*100 {
+		t.Errorf("accounted %d bytes, want %d", total, intervals*perInterval*100)
+	}
+	if got := d.Stats().Reports; got != intervals {
+		t.Errorf("stats reports = %d, want %d", got, intervals)
 	}
 }

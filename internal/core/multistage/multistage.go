@@ -41,12 +41,6 @@ type Config struct {
 	Buckets int
 	// Entries is the flow memory capacity.
 	Entries int
-	// MaxEntries, when non-zero, hard-caps the flow memory below Entries —
-	// a resource bound imposed from outside that wins over the sizing
-	// target. Inserts beyond the cap are refused and counted in
-	// EntriesRejected, which the threshold adaptation loop reads as
-	// pressure.
-	MaxEntries int
 	// Threshold is the large-flow threshold T in bytes per interval.
 	Threshold uint64
 	// Serial selects the serial filter variant (stages in sequence, each
@@ -85,9 +79,6 @@ func (c Config) Validate() error {
 	}
 	if c.Entries < 1 {
 		return cfgerr.New("multistage", "Entries", "must be at least 1, got %d", c.Entries)
-	}
-	if c.MaxEntries < 0 {
-		return cfgerr.New("multistage", "MaxEntries", "must not be negative, got %d", c.MaxEntries)
 	}
 	if c.Threshold < 1 || c.Threshold > counterCap {
 		return cfgerr.New("multistage", "Threshold", "must be in [1, %d], got %d", uint64(counterCap), c.Threshold)
@@ -192,18 +183,14 @@ func New(cfg Config) (*Filter, error) {
 		name = "tabulation"
 	}
 	family := hashing.FamilyByName(name, cfg.Seed)
-	capacity := cfg.Entries
-	if cfg.MaxEntries > 0 && cfg.MaxEntries < capacity {
-		capacity = cfg.MaxEntries
-	}
 	f := &Filter{
 		cfg:      cfg,
-		mem:      flowmem.New(capacity),
+		mem:      flowmem.New(cfg.Entries),
 		counters: make([]uint64, cfg.Stages*cfg.Buckets),
 		buckets:  uint32(cfg.Buckets),
 		hasher:   family.Stages(cfg.Stages, uint32(cfg.Buckets)),
 	}
-	f.tel.Init(f.Name(), capacity, cfg.Threshold)
+	f.tel.Init(f.Name(), cfg.Entries, cfg.Threshold)
 	return f, nil
 }
 

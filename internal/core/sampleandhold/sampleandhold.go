@@ -30,12 +30,6 @@ import (
 type Config struct {
 	// Entries is the flow memory capacity.
 	Entries int
-	// MaxEntries, when non-zero, hard-caps the flow memory below Entries —
-	// a resource bound imposed from outside (a global SRAM budget shared
-	// with other devices) that wins over the sizing target. Inserts beyond
-	// the cap are refused and counted in EntriesRejected, which the
-	// threshold adaptation loop reads as pressure.
-	MaxEntries int
 	// Threshold is the large-flow threshold T in bytes per interval.
 	Threshold uint64
 	// Oversampling is the factor O; the byte sampling probability is
@@ -60,9 +54,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Entries < 1 {
 		return cfgerr.New("sampleandhold", "Entries", "must be at least 1, got %d", c.Entries)
-	}
-	if c.MaxEntries < 0 {
-		return cfgerr.New("sampleandhold", "MaxEntries", "must not be negative, got %d", c.MaxEntries)
 	}
 	if c.Threshold < 1 {
 		return cfgerr.New("sampleandhold", "Threshold", "must be at least 1, got %d", c.Threshold)
@@ -114,18 +105,14 @@ func New(cfg Config) (*SampleAndHold, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	capacity := cfg.Entries
-	if cfg.MaxEntries > 0 && cfg.MaxEntries < capacity {
-		capacity = cfg.MaxEntries
-	}
 	s := &SampleAndHold{
 		cfg: cfg,
-		mem: flowmem.New(capacity),
+		mem: flowmem.New(cfg.Entries),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.setProbability()
 	s.skip = s.nextSkip()
-	s.tel.Init(s.Name(), capacity, cfg.Threshold)
+	s.tel.Init(s.Name(), cfg.Entries, cfg.Threshold)
 	return s, nil
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/memmodel"
 )
@@ -680,45 +679,6 @@ func (s ExportSnapshot) Health() (HealthStatus, string) {
 		return HealthDegraded, fmt.Sprintf("spool above high-water mark (depth %d)", s.SpoolDepth)
 	}
 	return HealthOK, ""
-}
-
-// Runner holds the live counters of a live.Runner. All fields are atomics;
-// Snapshot is safe from any goroutine.
-type Runner struct {
-	packets   atomic.Uint64
-	intervals atomic.Int64
-	lastTick  atomic.Int64 // unix nanoseconds; 0 = never
-}
-
-// ObservePacket records one live packet.
-func (r *Runner) ObservePacket() { r.packets.Add(1) }
-
-// ObserveTick records an interval tick at time t.
-func (r *Runner) ObserveTick(t time.Time) {
-	r.intervals.Add(1)
-	r.lastTick.Store(t.UnixNano())
-}
-
-// Snapshot copies the runner counters.
-func (r *Runner) Snapshot() RunnerSnapshot {
-	s := RunnerSnapshot{
-		Packets:   r.packets.Load(),
-		Intervals: int(r.intervals.Load()),
-	}
-	if ns := r.lastTick.Load(); ns != 0 {
-		s.LastTick = time.Unix(0, ns)
-	}
-	return s
-}
-
-// RunnerSnapshot is a point-in-time copy of a live runner's counters.
-type RunnerSnapshot struct {
-	// Packets is the number of packets fed so far.
-	Packets uint64 `json:"packets"`
-	// Intervals is the number of wall-clock intervals closed so far.
-	Intervals int `json:"intervals"`
-	// LastTick is when the most recent interval closed (zero if none).
-	LastTick time.Time `json:"last_tick"`
 }
 
 // BusSnapshot is a point-in-time copy of an event bus's counters.

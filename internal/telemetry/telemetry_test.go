@@ -1,9 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/memmodel"
 )
@@ -88,25 +88,6 @@ func TestLaneCounters(t *testing.T) {
 	}
 	if s.Intervals != 1 {
 		t.Errorf("intervals: got %d, want 1", s.Intervals)
-	}
-}
-
-func TestRunnerCounters(t *testing.T) {
-	var r Runner
-	if got := r.Snapshot(); !got.LastTick.IsZero() {
-		t.Errorf("zero-value last tick: %v", got.LastTick)
-	}
-	r.ObservePacket()
-	r.ObservePacket()
-	r.ObservePacket()
-	tick := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	r.ObserveTick(tick)
-	s := r.Snapshot()
-	if s.Packets != 3 || s.Intervals != 1 {
-		t.Errorf("got %d packets, %d intervals, want 3, 1", s.Packets, s.Intervals)
-	}
-	if s.LastTick.UnixNano() != tick.UnixNano() {
-		t.Errorf("last tick: got %v, want %v", s.LastTick, tick)
 	}
 }
 
@@ -243,5 +224,81 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	if s.Packets != 2000 || s.Intervals != 20 || len(s.ThresholdTrajectory) != 20 {
 		t.Errorf("final counts: packets %d intervals %d trajectory %d, want 2000, 20, 20",
 			s.Packets, s.Intervals, len(s.ThresholdTrajectory))
+	}
+}
+
+func TestHealthStatusString(t *testing.T) {
+	for _, tc := range []struct {
+		h    HealthStatus
+		want string
+	}{
+		{HealthOK, "ok"},
+		{HealthDegraded, "degraded"},
+		{HealthUnhealthy, "unhealthy"},
+		{HealthStatus(99), "unknown"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			if got := tc.h.String(); got != tc.want {
+				t.Errorf("String() = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestLaneHealthJSON: lane health renders as its string form in JSON, so
+// /debug/vars and /healthz read naturally.
+func TestLaneHealthJSON(t *testing.T) {
+	for _, tc := range []struct {
+		h    LaneHealth
+		want string
+	}{
+		{LaneHealthy, "healthy"},
+		{LaneRestarted, "restarted"},
+		{LaneQuarantined, "quarantined"},
+		{LaneHealth(99), "unknown"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			b, err := json.Marshal(LaneSnapshot{Health: tc.h})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct{ Health string }
+			if err := json.Unmarshal(b, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Health != tc.want || tc.h.String() != tc.want {
+				t.Errorf("health %d renders %q / %q, want %q", tc.h, got.Health, tc.h.String(), tc.want)
+			}
+		})
+	}
+}
+
+// TestPipelineSnapshotHealthConditions: each condition Health documents
+// grades the pipeline and names itself in the reason.
+func TestPipelineSnapshotHealthConditions(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		s          PipelineSnapshot
+		want       HealthStatus
+		wantReason string
+	}{
+		{"clean", PipelineSnapshot{Lanes: []LaneSnapshot{{Packets: 10}, {Packets: 5}}}, HealthOK, ""},
+		{"all_quarantined", PipelineSnapshot{Lanes: []LaneSnapshot{{Health: LaneQuarantined}, {Health: LaneQuarantined}}},
+			HealthUnhealthy, "all lanes quarantined"},
+		{"one_quarantined", PipelineSnapshot{Lanes: []LaneSnapshot{{}, {Health: LaneQuarantined}}},
+			HealthDegraded, "1/2 lanes quarantined"},
+		{"recovered_panics", PipelineSnapshot{Lanes: []LaneSnapshot{{}, {Panics: 2, Restarts: 2, Health: LaneRestarted}}},
+			HealthDegraded, "lane 1 recovered 2 panics"},
+		{"shed", PipelineSnapshot{Lanes: []LaneSnapshot{{ShedPackets: 3}, {DegradedPackets: 4}}},
+			HealthDegraded, "7 packets shed under overload"},
+		{"rejected_entries", PipelineSnapshot{Lanes: []LaneSnapshot{{}, {}}, Algorithms: []AlgorithmSnapshot{{}, {Drops: 5}}},
+			HealthDegraded, "lane 1 flow memory rejected 5 entries"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, reason := tc.s.Health()
+			if st != tc.want || reason != tc.wantReason {
+				t.Errorf("Health() = %v (%q), want %v (%q)", st, reason, tc.want, tc.wantReason)
+			}
+		})
 	}
 }

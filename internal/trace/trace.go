@@ -106,7 +106,6 @@ type ReplayOption func(*replayOptions)
 
 type replayOptions struct {
 	batchSize int
-	progress  func(packets int)
 	stop      func() bool
 }
 
@@ -120,14 +119,6 @@ func WithBatchSize(n int) ReplayOption {
 		}
 		o.batchSize = n
 	}
-}
-
-// WithProgress registers fn to be called with the cumulative packet count
-// after every delivered batch and once after the final interval closes.
-// fn runs on the replay goroutine, so an expensive callback slows the
-// replay down by exactly its own cost.
-func WithProgress(fn func(packets int)) ReplayOption {
-	return func(o *replayOptions) { o.progress = fn }
 }
 
 // ErrStopped is returned by Replay when a WithStop hook ended the replay
@@ -177,9 +168,6 @@ func Replay(src Source, c Consumer, opts ...ReplayOption) (int, error) {
 			}
 		}
 		buf = buf[:0]
-		if o.progress != nil {
-			o.progress(packets)
-		}
 	}
 	cur := 0
 	for {
@@ -219,9 +207,6 @@ func Replay(src Source, c Consumer, opts ...ReplayOption) (int, error) {
 	for cur < m.Intervals {
 		c.EndInterval(cur)
 		cur++
-	}
-	if o.progress != nil {
-		o.progress(packets)
 	}
 	return packets, nil
 }

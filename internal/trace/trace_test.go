@@ -284,32 +284,48 @@ func TestReplayBatchedErrors(t *testing.T) {
 	}
 }
 
-// TestReplayProgress: the progress callback sees a non-decreasing cumulative
-// packet count and its final call reports the total.
-func TestReplayProgress(t *testing.T) {
-	m := testMeta()
+// TestReplayWithStop: the stop hook is polled at batch boundaries; once it
+// fires, Replay has delivered every packet it counted, closes no further
+// interval and returns ErrStopped. A hook that never fires changes nothing.
+func TestReplayWithStop(t *testing.T) {
 	var pkts []flow.Packet
-	for iv := 0; iv < m.Intervals; iv++ {
-		for i := 0; i < 13; i++ {
-			pkts = append(pkts, mkPacket(time.Duration(iv)*time.Second+time.Duration(i)*time.Millisecond, 1))
+	for i := 0; i < 5; i++ {
+		pkts = append(pkts, mkPacket(time.Duration(i)*100*time.Millisecond, uint32(i+1)))
+	}
+	pkts = append(pkts, mkPacket(1500*time.Millisecond, 7))
+	// stopAfter returns a hook that fires on its (n+1)th poll.
+	stopAfter := func(n int) func() bool {
+		polls := 0
+		return func() bool {
+			polls++
+			return polls > n
 		}
 	}
-	var seen []int
-	var r batchRecorder
-	n, err := Replay(NewSliceSource(m, pkts), &r,
-		WithBatchSize(5), WithProgress(func(p int) { seen = append(seen, p) }))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		polls     int
+		wantN     int
+		wantErr   error
+		wantEvent []string
+	}{
+		{"immediately", 0, 0, ErrStopped, nil},
+		{"after_first_batch", 1, 2, ErrStopped, []string{"p", "1", "p", "2"}},
+		{"never", 100, 6, nil, replayEvents(t, pkts, testMeta())},
 	}
-	if len(seen) == 0 {
-		t.Fatal("progress callback never called")
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] < seen[i-1] {
-			t.Fatalf("progress went backwards: %v", seen)
-		}
-	}
-	if last := seen[len(seen)-1]; last != n || n != len(pkts) {
-		t.Fatalf("final progress %d, replayed %d, want %d", last, n, len(pkts))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var r batchRecorder
+			n, err := Replay(NewSliceSource(testMeta(), pkts), &r,
+				WithBatchSize(2), WithStop(stopAfter(tc.polls)))
+			if err != tc.wantErr {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if n != tc.wantN {
+				t.Errorf("replayed %d packets, want %d", n, tc.wantN)
+			}
+			if !sameEvents(r.events, tc.wantEvent) {
+				t.Errorf("events = %v, want %v", r.events, tc.wantEvent)
+			}
+		})
 	}
 }

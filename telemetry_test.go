@@ -10,6 +10,9 @@ package traffic
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/adapt"
+	"repro/internal/core"
 )
 
 func traceTotals(pkts []Packet) (packets, bytes uint64) {
@@ -19,8 +22,8 @@ func traceTotals(pkts []Packet) (packets, bytes uint64) {
 	return uint64(len(pkts)), bytes
 }
 
-// TestDeviceStatsMatchTrace checks Device.Stats and the Snapshot facade
-// against ground truth from the replayed trace.
+// TestDeviceStatsMatchTrace checks Device.Stats and core.Snapshot against
+// ground truth from the replayed trace.
 func TestDeviceStatsMatchTrace(t *testing.T) {
 	meta, pkts, capacity := collectTrace(t, "COS", 0.02, 3)
 	wantPackets, wantBytes := traceTotals(pkts)
@@ -31,7 +34,7 @@ func TestDeviceStatsMatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := NewDevice(alg, FiveTuple, NewAdaptor(SampleAndHoldAdaptation()))
+	dev := NewDevice(alg, FiveTuple, NewAdaptor(adapt.SampleAndHoldDefaults()))
 	if _, err := Replay(NewSliceSource(meta, pkts), dev); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +64,8 @@ func TestDeviceStatsMatchTrace(t *testing.T) {
 	if a.Mem.Accesses() == 0 || a.MemRefsPerPacket() <= 0 {
 		t.Errorf("memory accounting empty: %+v", a.Mem)
 	}
-	// The facade Snapshot reads the same live counters.
-	if got := Snapshot(alg); got.Packets != a.Packets || got.FilterPasses != a.FilterPasses {
+	// core.Snapshot reads the same live counters.
+	if got := core.Snapshot(alg); got.Packets != a.Packets || got.FilterPasses != a.FilterPasses {
 		t.Errorf("Snapshot(alg) = %d pkts / %d passes, Stats().Algorithm = %d / %d",
 			got.Packets, got.FilterPasses, a.Packets, a.FilterPasses)
 	}

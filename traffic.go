@@ -34,18 +34,21 @@
 // and batched replay produce identical reports.
 //
 // Sources can be synthetic traces (NewGenerator with a Preset
-// configuration), files in this library's compact trace format
-// (NewTraceReader), or pcap captures (see internal/pcap via cmd/tracegen).
+// configuration) or packets already in memory (NewSliceSource); cmd/tracegen
+// writes this library's compact trace format, from the generator or from
+// pcap captures, and cmd/hhdevice replays it.
 //
 // The packages behind this facade also implement everything needed to
 // reproduce the paper's evaluation: a Sampled NetFlow baseline, the
-// analytic bounds of Sections 4-5, threshold accounting, and drivers for
-// every table and figure (cmd/experiments).
+// analytic bounds of Sections 4-5 (with device dimensioning), threshold
+// accounting, and drivers for every table and figure (cmd/experiments).
+// Programs that need more than this facade — the Count-Min and
+// Space-Saving baselines, the leaky-bucket detector, the trace file format
+// — import those packages directly; the facade carries only what its
+// callers use.
 package traffic
 
 import (
-	"io"
-
 	"repro/internal/accounting"
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -54,12 +57,8 @@ import (
 	"repro/internal/core/sampleandhold"
 	"repro/internal/exact"
 	"repro/internal/flow"
-	"repro/internal/leakybucket"
-	"repro/internal/live"
 	"repro/internal/netflow"
 	"repro/internal/pipeline"
-	"repro/internal/sampling"
-	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -93,8 +92,7 @@ var (
 type Estimate = core.Estimate
 
 // Algorithm is a traffic measurement algorithm; implementations include
-// sample and hold, multistage filters, sampled NetFlow and ordinary
-// sampling.
+// sample and hold, multistage filters and sampled NetFlow.
 type Algorithm = core.Algorithm
 
 // ProcessBatch feeds a batch of packets to an algorithm. Sample and hold
@@ -133,15 +131,6 @@ func NewSampledNetFlow(cfg NetFlowConfig) (Algorithm, error) {
 	return netflow.New(cfg)
 }
 
-// OrdinarySamplingConfig configures the classical-sampling baseline.
-type OrdinarySamplingConfig = sampling.Config
-
-// NewOrdinarySampling creates the classical random-sampling baseline of
-// Table 1.
-func NewOrdinarySampling(cfg OrdinarySamplingConfig) (Algorithm, error) {
-	return sampling.New(cfg)
-}
-
 // ---- Threshold adaptation ----
 
 // AdaptConfig holds the threshold adaptation constants of Figure 5.
@@ -153,10 +142,6 @@ type Adaptor = adapt.Adaptor
 // NewAdaptor creates an adaptor; see SampleAndHoldAdaptation and
 // MultistageAdaptation for the paper's constants.
 func NewAdaptor(cfg AdaptConfig) *Adaptor { return adapt.New(cfg) }
-
-// SampleAndHoldAdaptation returns the paper's adaptation constants for
-// sample and hold (target 90%, adjustup 3, adjustdown 1).
-func SampleAndHoldAdaptation() AdaptConfig { return adapt.SampleAndHoldDefaults() }
 
 // MultistageAdaptation returns the paper's adaptation constants for
 // multistage filters (target 90%, adjustup 3, adjustdown 0.5).
@@ -190,24 +175,12 @@ type Source = trace.Source
 // Consumer receives replayed packets and interval boundaries.
 type Consumer = trace.Consumer
 
-// ReplayOption customizes Replay; see WithBatchSize and WithProgress.
+// ReplayOption customizes Replay; see WithBatchSize.
 type ReplayOption = trace.ReplayOption
 
-// WithBatchSize sets Replay's delivery batch size; n <= 0 selects
-// DefaultBatchSize and n == 1 delivers packets one at a time.
+// WithBatchSize sets Replay's delivery batch size; n <= 0 selects the
+// default and n == 1 delivers packets one at a time.
 func WithBatchSize(n int) ReplayOption { return trace.WithBatchSize(n) }
-
-// WithProgress registers fn to be called with the cumulative packet count
-// after every delivered batch and once at the end of the replay.
-func WithProgress(fn func(packets int)) ReplayOption { return trace.WithProgress(fn) }
-
-// WithStop registers a hook polled at batch boundaries; when it returns
-// true, Replay returns ErrReplayStopped — the orderly way for a signal
-// handler to end a replay mid-trace and drain what was already measured.
-func WithStop(fn func() bool) ReplayOption { return trace.WithStop(fn) }
-
-// ErrReplayStopped is returned by Replay when a WithStop hook ended it early.
-var ErrReplayStopped = trace.ErrStopped
 
 // Replay streams a trace into a consumer (typically a *Device or a
 // *Pipeline), calling EndInterval at each measurement interval boundary,
@@ -220,13 +193,9 @@ func Replay(src Source, c Consumer, opts ...ReplayOption) (int, error) {
 	return trace.Replay(src, c, opts...)
 }
 
-// BatchConsumer is a Consumer with a batched packet path; Device, MultiDevice
-// and Pipeline all implement it.
+// BatchConsumer is a Consumer with a batched packet path; Device and
+// Pipeline both implement it.
 type BatchConsumer = trace.BatchConsumer
-
-// DefaultBatchSize is the batch size Replay uses unless overridden with
-// WithBatchSize.
-const DefaultBatchSize = trace.DefaultBatchSize
 
 // GenConfig configures the synthetic trace generator.
 type GenConfig = trace.GenConfig
@@ -242,13 +211,6 @@ func NewGenerator(cfg GenConfig) (Source, error) { return trace.NewGenerator(cfg
 func NewSliceSource(meta TraceMeta, pkts []Packet) Source {
 	return trace.NewSliceSource(meta, pkts)
 }
-
-// NewTraceReader reads this library's compact binary trace format.
-func NewTraceReader(r io.Reader) (Source, error) { return trace.NewReader(r) }
-
-// WriteTrace writes a source to the compact binary trace format and
-// returns the number of packets written.
-func WriteTrace(w io.Writer, src Source) (int, error) { return trace.WriteAll(w, src) }
 
 // ---- Ground truth ----
 
@@ -282,23 +244,7 @@ func BillInterval(interval int, ests []Estimate, capacity float64, p AccountingP
 	return accounting.BillInterval(interval, ests, capacity, p)
 }
 
-// ---- Extensions beyond the paper ----
-
-// CountMinConfig configures the Count-Min sketch baseline — the modern
-// descendant of the multistage filter's counter arrays.
-type CountMinConfig = sketch.CountMinConfig
-
-// NewCountMin creates a Count-Min heavy hitter tracker. Unlike the paper's
-// algorithms its estimates are upper bounds (it can overcharge).
-func NewCountMin(cfg CountMinConfig) (Algorithm, error) { return sketch.NewCountMin(cfg) }
-
-// SpaceSavingConfig configures the Space-Saving baseline.
-type SpaceSavingConfig = sketch.SpaceSavingConfig
-
-// NewSpaceSaving creates a Space-Saving heavy hitter tracker (bounded
-// counter table with least-count eviction; overestimates by at most
-// total/K).
-func NewSpaceSaving(cfg SpaceSavingConfig) (Algorithm, error) { return sketch.NewSpaceSaving(cfg) }
+// ---- Sharded pipeline ----
 
 // PipelineConfig configures a sharded measurement pipeline.
 type PipelineConfig = pipeline.Config
@@ -311,63 +257,13 @@ type PipelineConfig = pipeline.Config
 // PipelineConfig.RestartOnPanic) and the pipeline keeps serving.
 type Pipeline = pipeline.Pipeline
 
-// OverloadPolicy selects what a Pipeline's producer does when a lane queue
-// is full: block, shed, or degrade. See the constants below.
-type OverloadPolicy = pipeline.OverloadPolicy
-
-// The overload policies, in order of how much they preserve: OverloadBlock
-// is lossless backpressure (the default), OverloadDropNewest and
-// OverloadDropOldest shed whole batches (keeping the oldest or the newest
-// traffic respectively), and OverloadDegrade probabilistically subsamples
-// the overflowing batch so estimates thin out smoothly instead of whole
-// bursts vanishing.
-const (
-	OverloadBlock      = pipeline.Block
-	OverloadDropNewest = pipeline.DropNewest
-	OverloadDropOldest = pipeline.DropOldest
-	OverloadDegrade    = pipeline.Degrade
-)
-
-// OverloadPolicyByName maps the command-line spellings ("block",
-// "drop-newest", "drop-oldest", "degrade"; "" means block) to policies.
-func OverloadPolicyByName(name string) (OverloadPolicy, error) {
-	return pipeline.OverloadPolicyByName(name)
-}
-
 // NewPipeline builds and starts a sharded pipeline; Close it when done.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) { return pipeline.New(cfg) }
 
-// LeakyBucket is the alternative large-flow definition from the paper's
-// technical report: a flow is large when it violates a (rate, burst)
-// envelope, with no interval boundaries.
-type LeakyBucket = leakybucket.Descriptor
-
-// LeakyBucketDetectorConfig configures a leaky-bucket large-flow detector.
-type LeakyBucketDetectorConfig = leakybucket.Config
-
-// LeakyBucketDetector flags flows violating a leaky bucket descriptor
-// using multistage-filtered draining buckets (no false negatives).
-type LeakyBucketDetector = leakybucket.Detector
-
-// NewLeakyBucketDetector creates a leaky-bucket large-flow detector.
-func NewLeakyBucketDetector(cfg LeakyBucketDetectorConfig) (*LeakyBucketDetector, error) {
-	return leakybucket.NewDetector(cfg)
-}
-
-// MultiDevice fans one packet stream out to several devices, one per flow
-// definition of interest, as the paper's Section 1.2 deployment envisages.
-type MultiDevice = device.Multi
-
-// NewMultiDevice groups devices into one Consumer.
-func NewMultiDevice(devices ...*Device) *MultiDevice { return device.NewMulti(devices...) }
-
-// LiveRunner drives a device from a live packet feed, closing measurement
-// intervals on wall-clock boundaries; safe for concurrent packet sources.
-// Its Reports method exposes the wrapped consumer's accumulated reports.
-type LiveRunner = live.Runner
-
-// NewLiveRunner wraps a Device (or MultiDevice) for live operation.
-func NewLiveRunner(c Consumer) *LiveRunner { return live.NewRunner(c) }
+// OverloadBlock is the default PipelineConfig.Overload policy: lossless
+// backpressure, the producer waits while a lane queue is full. The shedding
+// and degrading policies are chosen with cmd/hhdevice's -overload flag.
+const OverloadBlock = pipeline.Block
 
 // ---- Telemetry ----
 //
@@ -381,68 +277,11 @@ func NewLiveRunner(c Consumer) *LiveRunner { return live.NewRunner(c) }
 // Device or Pipeline possible (see cmd/hhdevice's -listen flag).
 
 // AlgorithmStats is a point-in-time snapshot of one algorithm's counters.
+// Read it with Device.Stats or, per lane, Pipeline.Stats.
 type AlgorithmStats = telemetry.AlgorithmSnapshot
 
-// MemStats is the memory-model reference totals inside an AlgorithmStats.
-type MemStats = telemetry.MemSnapshot
-
-// DeviceStats is a Device's snapshot: its algorithm's counters plus the
-// flow definition and report count. Read it with Device.Stats.
-type DeviceStats = telemetry.DeviceSnapshot
-
-// LaneStats is one pipeline lane's counters: batches handed over, queue
-// high-water mark, flush stalls, shed and degraded traffic, panics,
-// restarts, and the lane's supervision health.
-type LaneStats = telemetry.LaneSnapshot
-
-// PipelineStats is a Pipeline's snapshot: per-lane counters plus each lane
-// algorithm's counters. Read it with Pipeline.Stats.
-type PipelineStats = telemetry.PipelineSnapshot
-
-// HealthStatus grades a running Device or Pipeline for operational
-// monitoring: HealthOK, HealthDegraded (still serving but shedding load,
-// running quarantined lanes, or rejecting flow-memory entries) or
-// HealthUnhealthy (no longer producing useful measurements). Derive it with
-// Pipeline.Health or the snapshots' Health methods; cmd/hhdevice serves it
-// on /healthz.
-type HealthStatus = telemetry.HealthStatus
-
-// The health grades, from best to worst.
-const (
-	HealthOK        = telemetry.HealthOK
-	HealthDegraded  = telemetry.HealthDegraded
-	HealthUnhealthy = telemetry.HealthUnhealthy
-)
-
-// LaneHealth is one pipeline lane's supervision state: healthy, restarted
-// after a panic, or quarantined.
-type LaneHealth = telemetry.LaneHealth
-
-// The lane supervision states.
-const (
-	LaneHealthy     = telemetry.LaneHealthy
-	LaneRestarted   = telemetry.LaneRestarted
-	LaneQuarantined = telemetry.LaneQuarantined
-)
-
 // MemoryPressure is an Algorithm that reports how many entries its flow
-// memory refused because it was full (see SampleAndHoldConfig.MaxEntries
-// and MultistageConfig.MaxEntries). Devices feed the per-interval rejection
-// count into threshold adaptation so a saturated memory raises the
-// threshold even when interval-boundary evictions mask the pressure.
+// memory refused because it was full. Devices feed the per-interval
+// rejection count into threshold adaptation so a saturated memory raises
+// the threshold even when interval-boundary evictions mask the pressure.
 type MemoryPressure = core.MemoryPressure
-
-// RunnerStats is a LiveRunner's snapshot: packets fed, intervals closed,
-// last tick time. Read it with LiveRunner.Stats.
-type RunnerStats = telemetry.RunnerSnapshot
-
-// Instrumented is an Algorithm that exposes its telemetry; every algorithm
-// constructed by this package implements it.
-type Instrumented = core.Instrumented
-
-// Snapshot captures an algorithm's telemetry. For algorithms constructed by
-// this package the snapshot is taken from live atomic counters and is safe
-// concurrently with traffic; for a foreign Algorithm implementation it is
-// synthesized from the interface accessors (marked Stale, and only safe
-// when the algorithm is quiescent).
-func Snapshot(alg Algorithm) AlgorithmStats { return core.Snapshot(alg) }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // TestPublicAPIEndToEnd exercises the whole facade the way the quickstart
@@ -86,9 +88,6 @@ func TestPublicAPISampleAndHoldAndBaselines(t *testing.T) {
 		{"sampled-netflow", func() (Algorithm, error) {
 			return NewSampledNetFlow(NetFlowConfig{SamplingRate: 4})
 		}},
-		{"ordinary-sampling", func() (Algorithm, error) {
-			return NewOrdinarySampling(OrdinarySamplingConfig{Entries: 64, Probability: 0.5, Seed: 1})
-		}},
 	}
 	for _, a := range algs {
 		alg, err := a.mk()
@@ -106,7 +105,7 @@ func TestPublicAPISampleAndHoldAndBaselines(t *testing.T) {
 		if len(reports) != 1 || len(reports[0].Estimates) != 1 {
 			t.Fatalf("%s: reports = %+v", a.name, reports)
 		}
-		// All three should land near the 200 kB truth (the elephant is the
+		// Both should land near the 200 kB truth (the elephant is the
 		// only flow; S&H and NetFlow sample it early).
 		got := reports[0].Estimates[0].Bytes
 		if got < 100000 || got > 400000 {
@@ -126,11 +125,11 @@ func TestPublicAPITraceFormatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := WriteTrace(&buf, src)
+	n, err := trace.WriteAll(&buf, src)
 	if err != nil || n == 0 {
-		t.Fatalf("WriteTrace: n=%d err=%v", n, err)
+		t.Fatalf("WriteAll: n=%d err=%v", n, err)
 	}
-	r, err := NewTraceReader(&buf)
+	r, err := trace.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,9 @@ package traffic
 import (
 	"regexp"
 	"testing"
+
+	"repro/internal/leakybucket"
+	"repro/internal/sketch"
 )
 
 var cfgErrShape = regexp.MustCompile(`^traffic: [a-z]+: [A-Za-z.]+: .+`)
@@ -25,7 +28,8 @@ func requireCfgErr(t *testing.T, name string, err error) {
 }
 
 // TestConstructorsRejectZeroConfigs asserts every error-returning
-// constructor in the facade rejects its zero-value config with the shared
+// constructor in the facade, and those of the algorithms beyond the paper
+// that have no facade entry, rejects its zero-value config with the shared
 // error shape. (NewAdaptor is excluded: it panics on invalid configs, and
 // AdaptConfig.Validate is covered below.)
 func TestConstructorsRejectZeroConfigs(t *testing.T) {
@@ -36,11 +40,10 @@ func TestConstructorsRejectZeroConfigs(t *testing.T) {
 		{"NewSampleAndHold", func() error { _, err := NewSampleAndHold(SampleAndHoldConfig{}); return err }},
 		{"NewMultistageFilter", func() error { _, err := NewMultistageFilter(MultistageConfig{}); return err }},
 		{"NewSampledNetFlow", func() error { _, err := NewSampledNetFlow(NetFlowConfig{}); return err }},
-		{"NewOrdinarySampling", func() error { _, err := NewOrdinarySampling(OrdinarySamplingConfig{}); return err }},
-		{"NewCountMin", func() error { _, err := NewCountMin(CountMinConfig{}); return err }},
-		{"NewSpaceSaving", func() error { _, err := NewSpaceSaving(SpaceSavingConfig{}); return err }},
+		{"sketch.NewCountMin", func() error { _, err := sketch.NewCountMin(sketch.CountMinConfig{}); return err }},
+		{"sketch.NewSpaceSaving", func() error { _, err := sketch.NewSpaceSaving(sketch.SpaceSavingConfig{}); return err }},
 		{"NewPipeline", func() error { _, err := NewPipeline(PipelineConfig{}); return err }},
-		{"NewLeakyBucketDetector", func() error { _, err := NewLeakyBucketDetector(LeakyBucketDetectorConfig{}); return err }},
+		{"leakybucket.NewDetector", func() error { _, err := leakybucket.NewDetector(leakybucket.Config{}); return err }},
 		{"NewGenerator", func() error { _, err := NewGenerator(GenConfig{}); return err }},
 	}
 	for _, tc := range cases {
@@ -63,11 +66,10 @@ func TestValidateMethodsShareErrorStyle(t *testing.T) {
 		{"SampleAndHoldConfig", SampleAndHoldConfig{}.Validate()},
 		{"MultistageConfig", MultistageConfig{}.Validate()},
 		{"NetFlowConfig", NetFlowConfig{}.Validate()},
-		{"OrdinarySamplingConfig", OrdinarySamplingConfig{}.Validate()},
-		{"CountMinConfig", CountMinConfig{}.Validate()},
-		{"SpaceSavingConfig", SpaceSavingConfig{}.Validate()},
+		{"sketch.CountMinConfig", sketch.CountMinConfig{}.Validate()},
+		{"sketch.SpaceSavingConfig", sketch.SpaceSavingConfig{}.Validate()},
 		{"PipelineConfig", PipelineConfig{}.Validate()},
-		{"LeakyBucketDetectorConfig", LeakyBucketDetectorConfig{}.Validate()},
+		{"leakybucket.Config", leakybucket.Config{}.Validate()},
 	}
 	for _, tc := range cases {
 		requireCfgErr(t, tc.name, tc.err)
